@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -109,3 +110,114 @@ def test_unsupported_inputs_rejected():
         emit_report(42, "json")
     with pytest.raises(ValueError):
         emit_report(run_classification(2), "yaml")
+
+
+# Report builders for the byte-golden check, one per report kind and
+# enumeration setting that changes the layout.
+GOLDEN_CASES = {
+    "theorem": lambda: replicate_theorem(),
+    **{f"classify-p{p}": (lambda p=p: run_classification(p)) for p in range(1, 10)},
+    "enumerate-all-filters": lambda: run_enumeration(range(1, 9), range(1, 61)),
+    "enumerate-congruence-dedekind": lambda: run_enumeration(
+        [3, 5], range(1, 30), filters=["congruence", "dedekind"]),
+    "enumerate-distance-only": lambda: run_enumeration(
+        range(1, 5), range(1, 25), filters=["distance"]),
+    "enumerate-max-gap-3": lambda: run_enumeration(
+        range(1, 9), range(1, 40), max_gap=3),
+    "enumerate-sparse-q": lambda: run_enumeration(
+        [2, 4, 6, 7], [1, 2, 3, 5, 8, 13, 21, 34],
+        filters=["distance", "congruence"]),
+}
+
+# SHA-256 of the json, csv and markdown reports of each case.
+GOLDEN_SHA256 = {
+    "theorem": (
+        "74bb1a739bfebe009218ed73726b5c5e8c2835bcafe1c3be18215020b3130730",
+        "cb27021c75e32e6edb336a8b80abc3dbc1f0f40a6981f0f9adabe1567e777409",
+        "4ec0894e44adf976d8f3b427652467d3b62b15f4fb005bbec2644009e77770b6",
+    ),
+    "classify-p1": (
+        "a4e1d90f77ca0795ed05b3621a6276b91b115f0428d7708c768bb853ff3ffc4b",
+        "a4278a997c9970145627abed8a66bc77a22c659acd5fde03d798e7b54a46cfe4",
+        "a7f970dbf00bcf52cab6eebcdec6b0c97b4d5c816298327792e11cc45d8706d7",
+    ),
+    "classify-p2": (
+        "af8ae95e07d9e9f1cf93bb53c7b99f8ba05e7ef84ee60e7ccb6daeb317520fa4",
+        "bafa3c2291d3e88aa1a89fcd85f9a08c71854b8375763ed86b9a7bf54403bd09",
+        "5b353de069825c65dbb11959610dc95da33938859f78300f23461c50b005e0e9",
+    ),
+    "classify-p3": (
+        "3946211f5486ed282e1dbec9ee75eaca276e8ce70d3f01c6287a7d71ff17c2d8",
+        "8832a043fdc802a424a56a4617e05c624e9f183b948437b3c9bf169ee49645ba",
+        "bb305b7943c2fcbb64e0804de8ad677048c996d1d1fcd0eb4e6f656949425afc",
+    ),
+    "classify-p4": (
+        "5424f535c132f67f92c1008950c0a6ad9320f525080b7e083032c0471191b9d9",
+        "504168ad1f10a3ea11f1a9c6054283006b4a8f043d9c51b141fce87b5e3c490e",
+        "a1df8ae7171575502533f960deedf8aa5bd01b3d26da8e7b2107c56431300194",
+    ),
+    "classify-p5": (
+        "08007cda35dcd1af3ead8fd3bb1a2a926f3b7f5005ee5ab3bbb5ac23947cfd43",
+        "5341a1399a2e20251eaeaae17ac2fd4d002565dd080b20048a915c4545d80a32",
+        "a947fcf9133dfd9e5dd8a7522c6ba1d96ddf5dfdc77a913bf31f6f165ae32463",
+    ),
+    "classify-p6": (
+        "97ef537ef3b74401de9dc634c9fe82e3ede79666149aa0691a44b07fa8c9585b",
+        "91f53c472d80fe350c90d3d64c8b5931681cf302f0eef4b4069b5f92acdd5246",
+        "5a1b118cdd59d6b7a6ff3557131f55435461e06c1d1f57a8cc5f9edce20ee6f8",
+    ),
+    "classify-p7": (
+        "dbf1694ac99a0abd51ec7d2a0bd24b52c29444e2ad71b1b01709f2e58deabaa0",
+        "f4f2abeeb1bdcaab8033a6448d49d1e23e16f283b87cfddb34c55497e39b799a",
+        "1ff15a86ddf81aab141b55e1ff84353046ccb9f124a37368b077113d47d8382b",
+    ),
+    "classify-p8": (
+        "604f0c93e06afba09c098d123d01a490bfefa8d6411a5f187e8cf4fede9a8e01",
+        "3d0bd425d384dbbda6c8457f880463774c85aff94f082dbfba3de3c22d591b9a",
+        "738348e0a8dc62f67c6c66766ac7d3ab8a35f3aafa6562de22cfc6c20acd1139",
+    ),
+    "classify-p9": (
+        "e3867e0f46dd4d4b00722395977dbac229c0176484b24a4f9828b62b0ab1b765",
+        "67a14c3677829bc9235e963d51200a292d55108a181428b9b14b3a71dd53e447",
+        "54972bc4fe61e6518fc01954cf12d7ff091904fee9fdfcdb849b136c0326b438",
+    ),
+    "enumerate-all-filters": (
+        "61c1a69c0339441037e55493dac781fdcacd8f983f68bf902741c1a63df65a19",
+        "b7e527c2f775ba21357835a493420b84a458c9106a9bb216440e7847ac1ceed7",
+        "2ef00cb11df459a2b836fd58539666d4806a9b19993533721d252c5452ce1ae5",
+    ),
+    "enumerate-congruence-dedekind": (
+        "324e052fbaee28415b3dbe9680163c554fbc46fc25041567d7e5a67b2586703c",
+        "568091abb6a574ac6929bc1ca921fb81179fe038d62559c4c0cba85df82ea6c4",
+        "2b44ce0f9c6001a2c9b6506d271acbc1706914abf2a0fe235ba2b4042bd1fee2",
+    ),
+    "enumerate-distance-only": (
+        "1683933b4d51ee8f3ba7d352f8bf0afc2314a1c29bdd0299cf3c44e16b883266",
+        "ef77ec3ca9d9bb5f46e49138cc858c1370b015a7ff886cd167173f7a828f6319",
+        "c140eb373272fc50217e6dd4b921e29e42c03d1906d6fa65aef8debbff2426d9",
+    ),
+    "enumerate-max-gap-3": (
+        "a2f3b11009a7fde6d0c8267b888bbe94c13927c0143c5a3a3c7c81726db940eb",
+        "2cd6ba32bb9b76ef50b976f227a5ce5000238dd4086b553633a42b797b1947e0",
+        "6909863aa0c14cc5fc1af7671c230dcb198c4a05bae4116e159f17776a6f2986",
+    ),
+    "enumerate-sparse-q": (
+        "770cfd0a9fa63f8c9d7ed2768879b63d82352223cd4f552eeeb7bab15f90cd2f",
+        "9a0bf560c867872db7417d92cd1d6e49a4fd7a3684bc03532539a21ee0f2a33a",
+        "f16e71ba9898bb05c49190c4391ed7d0a6fef00ab93f3b5a03c770be7b5d1b85",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_report_bytes_match_goldens(name):
+    result = GOLDEN_CASES[name]()
+    got = tuple(
+        hashlib.sha256(emit_report(result, fmt).encode()).hexdigest()
+        for fmt in ("json", "csv", "markdown")
+    )
+    assert got == GOLDEN_SHA256[name]
+
+
+def test_golden_cases_cover_the_distance_warning():
+    assert GOLDEN_CASES["enumerate-congruence-dedekind"]().warnings
