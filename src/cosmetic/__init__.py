@@ -20,13 +20,11 @@ from .census import (
     zhs_exterior_filter,
 )
 from .dedekind import (
-    dedekind_equal,
     dedekind_sum_direct,
     dedekind_sum_fast,
     sawtooth,
 )
 from .engine import (
-    CandidateFamily,
     ClassificationTable,
     ClassifyResult,
     CrossCheckError,
@@ -52,7 +50,6 @@ from .homology import (
 from .invariants import (
     AlexanderPolynomial,
     LensSpace,
-    SurgeryCassonInput,
     alexander_second_derivative_at_1,
     casson_lens,
     casson_surgery,
@@ -68,8 +65,6 @@ from .obstructions import (
 )
 from .report import emit_report
 from .slopes import (
-    ExactRational,
-    FramingShift,
     Slope,
     canonicalize_slope,
     format_rational,

@@ -14,8 +14,9 @@ One subcommand per operation family:
     cosmetic replicate-theorem --format markdown
     cosmetic enumerate --p 1..8 --q 1..1000 --filters all --jobs 4
 
-Exit code 0 on success, 1 on bad input, 2 when an internal cross-check
-(oracle re-derivation or census exclusion) fails.
+Exit code 0 on success, 1 on bad input (usage errors and unreadable
+files included), 2 when an internal cross-check (oracle re-derivation or
+census exclusion) fails.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .engine import (
     run_enumeration,
 )
 from .homology import (
-    FramingShift,
     LinkSurgeryData,
     WatsonData,
     h1_order_watson,
@@ -46,16 +46,13 @@ from .homology import (
 from .invariants import (
     AlexanderPolynomial,
     LensSpace,
-    SurgeryCassonInput,
     alexander_second_derivative_at_1,
     casson_lens,
     casson_surgery,
 )
 from .obstructions import linking_congruence
-from .report import emit_report
+from .report import FORMATS, emit_report
 from .slopes import Slope, format_rational, parse_rational
-
-FORMATS = ("json", "csv", "markdown")
 
 
 def parse_range(text):
@@ -82,12 +79,10 @@ def cmd_casson_lens(args):
 
 
 def cmd_casson_surgery(args):
-    data = SurgeryCassonInput(
-        lambda_y=parse_rational(args.lambda_y),
-        delta2=args.delta2,
-        slope=Slope.parse(args.slope),
+    value = casson_surgery(
+        parse_rational(args.lambda_y), args.delta2, Slope.parse(args.slope)
     )
-    print(format_rational(casson_surgery(data)))
+    print(format_rational(value))
     return 0
 
 
@@ -113,7 +108,7 @@ def cmd_congruence(args):
 
 
 def cmd_homology_watson(args):
-    data = WatsonData(args.c, FramingShift(args.shift))
+    data = WatsonData(args.c, args.shift)
     print(h1_order_watson(data, Slope.parse(args.slope)))
     return 0
 
@@ -304,15 +299,24 @@ def _build_parser():
 
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which here means a failed
+        # cross-check; bad input exits 1.  --help still exits 0.
+        if exc.code == 2:
+            return 1
+        raise
     try:
         return args.handler(args)
     except CrossCheckError as exc:
         print(f"cross-check failed: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as exc:
-        message = exc.args[0] if exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
+    except (ValueError, KeyError, OSError) as exc:
+        # str() of a KeyError quotes its message; an OSError's args are
+        # (errno, text), while its str() also names the file.
+        keyed = isinstance(exc, KeyError) and exc.args
+        print(f"error: {exc.args[0] if keyed else exc}", file=sys.stderr)
         return 1
 
 

@@ -88,8 +88,3 @@ def dedekind_sum_fast(q, p):
     ap = abs(p)
     sign = 1 if p > 0 else -1
     return sign * _fast_normalized(q % ap, ap)
-
-
-def dedekind_equal(q, q2, p):
-    """True iff s(q, p) = s(q2, p) exactly."""
-    return dedekind_sum_fast(q, p) == dedekind_sum_fast(q2, p)

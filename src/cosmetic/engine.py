@@ -8,7 +8,9 @@ distance, parity, linking-congruence and Dedekind filters;
 `replicate_theorem` assembles the survivors for p = 1..8 into the
 case-by-case classification table; `enumerate_pairs` sweeps concrete
 (q, q') pairs in bulk, optionally across worker processes, with output
-independent of the job count.
+independent of the job count.  A family is the pair at its smallest
+positive q, so families and concrete pairs share one record type,
+`PairVerdict`.
 
 Every verdict the engine produces can be re-derived from first
 principles: `verify_families` and `verify_pairs` recompute each filter
@@ -19,6 +21,7 @@ turns that into exit code 2.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import gcd
@@ -26,16 +29,13 @@ from math import gcd
 from .dedekind import dedekind_sum_direct
 from .invariants import cosmetic_dedekind_obstruction
 from .obstructions import (
+    EXCEPTIONAL_DISTANCE_BOUND,
     GeometryClass,
     ObstructionVerdict,
     distance_cap,
     linking_congruence,
     parity_filter,
 )
-
-# Largest slope distance any exceptional filling allows; p * gap beyond
-# this cannot be truly cosmetic.
-EXCEPTIONAL_DISTANCE_BOUND = distance_cap(GeometryClass.EXCEPTIONAL_GENERIC)
 
 # Canonical filter order for verdict trails and report columns.  Parity
 # always runs; the other three can be switched off in bulk sweeps.
@@ -67,41 +67,14 @@ class CrossCheckError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class CandidateFamily:
-    """Every pair q = q_residue (mod p), q' = q + gap, for one modulus p.
+class PairVerdict:
+    """One pair p/q, p/q' with its filter trail.
 
-    The verdict trail is computed on the smallest positive representative
-    and applies to the whole family.  A surviving family always has
+    As a residue family it stands for every pair q = q_residue (mod p),
+    q' = q + gap: the trail is computed at the smallest positive q and
+    applies to the whole family.  A surviving family always has
     p * gap <= 8.
     """
-
-    p: int
-    q_residue: int
-    gap: int
-    verdicts: tuple
-    surviving: bool
-
-    @property
-    def delta(self):
-        """Slope distance p * |q - q'| shared by every pair in the family."""
-        return self.p * self.gap
-
-    def representative(self):
-        """Smallest positive q in the residue class."""
-        return self.q_residue if self.q_residue else self.p
-
-    def describe(self):
-        if self.p == 1:
-            return f"p = 1, any q, q' = q + {self.gap}"
-        return (
-            f"p = {self.p}, q = {self.q_residue} (mod {self.p}), "
-            f"q' = q + {self.gap}"
-        )
-
-
-@dataclass(frozen=True)
-class PairVerdict:
-    """One concrete pair p/q, p/q' with its filter trail."""
 
     p: int
     q: int
@@ -115,34 +88,43 @@ class PairVerdict:
 
     @property
     def delta(self):
+        """Slope distance p * |q - q'|, shared by the whole family."""
         return self.p * self.gap
+
+    @property
+    def q_residue(self):
+        return self.q % self.p
+
+    def describe(self):
+        """The residue family this pair stands for, in words."""
+        if self.p == 1:
+            return f"p = 1, any q, q' = q + {self.gap}"
+        return (
+            f"p = {self.p}, q = {self.q_residue} (mod {self.p}), "
+            f"q' = q + {self.gap}"
+        )
 
 
 @dataclass(frozen=True)
 class ClassificationTable:
     """Surviving families arranged by the geometry of the filling.
 
-    `sections` pairs each geometry class with the surviving families
-    whose slope distance its cap allows; `notes` carries prose for
-    sections that are empty for a reason worth stating; `evaluated` is
-    the full list of families considered, obstructed ones included.
+    `sections` maps each geometry class, in case order, to the surviving
+    families whose slope distance its cap allows; `notes` maps the
+    sections that are empty for a reason worth stating to that reason;
+    `evaluated` is the full list of families considered, obstructed ones
+    included.
     """
 
-    sections: tuple
-    notes: tuple
+    sections: dict
+    notes: dict
     evaluated: tuple
 
     def families_for(self, geometry):
-        for geo, families in self.sections:
-            if geo is geometry:
-                return families
-        raise KeyError(geometry)
+        return self.sections[geometry]
 
     def note_for(self, geometry):
-        for geo, note in self.notes:
-            if geo is geometry:
-                return note
-        return None
+        return self.notes.get(geometry)
 
 
 @dataclass(frozen=True)
@@ -174,22 +156,18 @@ class EnumerationResult:
 def _normalize_filters(filters):
     if filters == "all" or filters is None:
         return SELECTABLE_FILTERS
-    chosen = []
-    for name in filters:
-        if name == "parity":
-            continue  # always on
-        if name not in SELECTABLE_FILTERS:
-            raise ValueError(
-                f"unknown filter {name!r}; choose from "
-                f"{', '.join(SELECTABLE_FILTERS)} (parity always runs)"
-            )
-        if name not in chosen:
-            chosen.append(name)
-    return tuple(name for name in SELECTABLE_FILTERS if name in chosen)
+    filters = set(filters)
+    unknown = sorted(filters - set(FILTER_ORDER))
+    if unknown:
+        raise ValueError(
+            f"unknown filter {unknown[0]!r}; choose from "
+            f"{', '.join(SELECTABLE_FILTERS)} (parity always runs)"
+        )
+    return tuple(name for name in SELECTABLE_FILTERS if name in filters)
 
 
 def _evaluate(p, q, q_prime, filters):
-    """Run the filter chain on one pair; returns (verdicts, surviving).
+    """Run the filter chain on one pair; returns its PairVerdict.
 
     Parity always runs.  Congruence and Dedekind are only defined for
     coprime pairs, so they are skipped (and the pair cannot survive)
@@ -214,14 +192,15 @@ def _evaluate(p, q, q_prime, filters):
         if "dedekind" in filters:
             verdicts.append(cosmetic_dedekind_obstruction(p, q, q_prime))
     surviving = all(v.passed for v in verdicts)
-    return tuple(verdicts), surviving
+    return PairVerdict(p, q, q_prime, tuple(verdicts), surviving)
 
 
 def classify_candidates(p):
     """Evaluate every residue family with modulus p in the exceptional range.
 
     Families run over gaps with p * gap <= 8 and residues 0 .. p-1, in
-    (gap, residue) order, each with its full verdict trail.  For p in
+    (gap, residue) order, each with its full verdict trail and evaluated
+    at its smallest positive q (p for residue 0).  For p in
     {3, 4, 6, 7, 8} no family survives; for p > 8 there is nothing to
     evaluate and the list is empty.
     """
@@ -230,11 +209,8 @@ def classify_candidates(p):
     families = []
     for gap in range(1, EXCEPTIONAL_DISTANCE_BOUND // p + 1):
         for residue in range(p):
-            rep = residue if residue else p
-            verdicts, surviving = _evaluate(p, rep, rep + gap, FILTER_ORDER)
-            families.append(
-                CandidateFamily(p, residue, gap, verdicts, surviving)
-            )
+            q = residue if residue else p
+            families.append(_evaluate(p, q, q + gap, FILTER_ORDER))
     return families
 
 
@@ -262,24 +238,23 @@ def replicate_theorem(verify=True):
     irreducible case leaves p = 1 with gap at most 3; finite fundamental
     group leaves nothing.  Deterministic, byte-for-byte.
     """
-    evaluated = []
-    for p in range(1, EXCEPTIONAL_DISTANCE_BOUND + 1):
-        evaluated.extend(classify_candidates(p))
-    evaluated = tuple(evaluated)
+    evaluated = tuple(
+        f
+        for p in range(1, EXCEPTIONAL_DISTANCE_BOUND + 1)
+        for f in classify_candidates(p)
+    )
     if verify:
         verify_families(evaluated)
     survivors = [f for f in evaluated if f.surviving]
-    sections = []
+    sections = {}
     for geometry in THEOREM_CASE_ORDER:
         if geometry is GeometryClass.FINITE_PI1:
-            sections.append((geometry, ()))
+            sections[geometry] = ()
             continue
         cap = distance_cap(geometry)
-        sections.append(
-            (geometry, tuple(f for f in survivors if f.delta <= cap))
-        )
-    notes = ((GeometryClass.FINITE_PI1, FINITE_PI1_NOTE),)
-    return ClassificationTable(tuple(sections), notes, evaluated)
+        sections[geometry] = tuple(f for f in survivors if f.delta <= cap)
+    notes = {GeometryClass.FINITE_PI1: FINITE_PI1_NOTE}
+    return ClassificationTable(sections, notes, evaluated)
 
 
 def _pair_chunk(task):
@@ -290,9 +265,17 @@ def _pair_chunk(task):
             q_prime = q + gap
             if q_prime not in q_members:
                 continue
-            verdicts, surviving = _evaluate(p, q, q_prime, filters)
-            out.append(PairVerdict(p, q, q_prime, verdicts, surviving))
+            out.append(_evaluate(p, q, q_prime, filters))
     return out
+
+
+def _pool_size(jobs, tasks, cpus=None):
+    """Worker count for a sweep: min(jobs, CPUs, tasks), at least 1."""
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    if cpus is None:
+        cpus = os.cpu_count() or 1
+    return max(1, min(jobs, cpus, tasks))
 
 
 def enumerate_pairs(p_values, q_values, filters="all", max_gap=None, jobs=1):
@@ -303,6 +286,7 @@ def enumerate_pairs(p_values, q_values, filters="all", max_gap=None, jobs=1):
     compute pure functions of their chunk.  `filters` is "all" or an
     iterable drawn from distance/congruence/dedekind; parity always runs,
     and when it fails the remaining filters are reported as skipped.
+    `jobs` is capped at the CPU count and at the number of chunks.
     """
     ps = sorted({int(p) for p in p_values})
     qs = sorted({int(q) for q in q_values})
@@ -319,11 +303,12 @@ def enumerate_pairs(p_values, q_values, filters="all", max_gap=None, jobs=1):
         for p in ps
         for i in range(0, len(qs), _CHUNK)
     ]
-    if jobs == 1:
+    workers = _pool_size(jobs, len(tasks))
+    if workers == 1:
         for task in tasks:
             yield from _pair_chunk(task)
         return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         for chunk in pool.map(_pair_chunk, tasks):
             yield from chunk
 
@@ -350,38 +335,37 @@ def run_enumeration(p_values, q_values, filters="all", max_gap=None,
     return EnumerationResult(pairs, chosen, max_gap, warnings)
 
 
-def _oracle_congruence(p, q, q_prime):
-    # Definitional check: exhaustive search over all units mod p.
+def _is_unit_witness(p, q, q_prime, u):
+    # Definitional: u is a unit mod p with q = q' u^2 (mod p); 0 for p = 1.
     if p == 1:
-        return True
-    return any(
-        gcd(u, p) == 1 and (q - q_prime * u * u) % p == 0
-        for u in range(1, p)
-    )
+        return u == 0
+    return 1 <= u < p and gcd(u, p) == 1 and (q - q_prime * u * u) % p == 0
 
 
-def _verify_one(p, q, q_prime, verdicts, surviving, where):
+def _verify_one(record, where):
+    p, q, q_prime = record.p, record.q, record.q_prime
     names = set()
-    for v in verdicts:
+    for v in record.verdicts:
         names.add(v.filter_name)
         if v.filter_name == "distance":
             expected = p * (q_prime - q) <= EXCEPTIONAL_DISTANCE_BOUND
         elif v.filter_name == "parity":
-            expected = gcd(q, p) == 1 and gcd(q_prime, p) == 1
+            # Both p/q and p/q' primitive, and neither the meridian 1/0.
+            expected = 0 not in (q, q_prime) and (
+                gcd(q, p) == 1 and gcd(q_prime, p) == 1
+            )
         elif v.filter_name == "congruence":
-            expected = _oracle_congruence(p, q, q_prime)
-            if v.passed:
-                u = v.witness["unit"]
-                good = (u == 0) if p == 1 else (
-                    1 <= u < p
-                    and gcd(u, p) == 1
-                    and (q - q_prime * u * u) % p == 0
+            # Exhaustive search over all units mod p.
+            expected = p == 1 or any(
+                _is_unit_witness(p, q, q_prime, u) for u in range(1, p)
+            )
+            if v.passed and not _is_unit_witness(
+                p, q, q_prime, v.witness["unit"]
+            ):
+                raise CrossCheckError(
+                    f"{where}: recorded congruence unit {v.witness['unit']} "
+                    f"does not satisfy q = q' u^2 (mod {p})"
                 )
-                if not good:
-                    raise CrossCheckError(
-                        f"{where}: recorded congruence unit {u} does not "
-                        f"satisfy q = q' u^2 (mod {p})"
-                    )
         elif v.filter_name == "dedekind":
             expected = dedekind_sum_direct(q, p) == dedekind_sum_direct(
                 q_prime, p
@@ -398,28 +382,22 @@ def _verify_one(p, q, q_prime, verdicts, surviving, where):
             )
     if "parity" not in names:
         raise CrossCheckError(f"{where}: trail is missing the parity filter")
-    if surviving != all(v.passed for v in verdicts):
+    if record.surviving != all(v.passed for v in record.verdicts):
         raise CrossCheckError(
             f"{where}: surviving flag is inconsistent with the trail"
         )
 
 
-def verify_families(families):
-    """Re-derive every family verdict from definitional oracles.
-
-    Uses the O(p) direct Dedekind sum and raw unit search, independent
-    of the reciprocity fast path and square tables the engine ran with.
-    Raises CrossCheckError on the first disagreement; returns the number
-    of families checked.
-    """
+def _verify(records, kind):
     count = 0
-    for f in families:
-        rep = f.representative()
-        where = f"family p={f.p} residue={f.q_residue} gap={f.gap}"
-        _verify_one(f.p, rep, rep + f.gap, f.verdicts, f.surviving, where)
-        if f.surviving and f.delta > EXCEPTIONAL_DISTANCE_BOUND:
+    for record in records:
+        where = f"{kind} p={record.p} q={record.q} q'={record.q_prime}"
+        _verify_one(record, where)
+        if kind == "family" and record.surviving and (
+            record.delta > EXCEPTIONAL_DISTANCE_BOUND
+        ):
             raise CrossCheckError(
-                f"{where}: survives at slope distance {f.delta} > "
+                f"{where}: survives at slope distance {record.delta} > "
                 f"{EXCEPTIONAL_DISTANCE_BOUND}"
             )
         count += 1
@@ -427,10 +405,17 @@ def verify_families(families):
 
 
 def verify_pairs(pairs):
-    """verify_families, but for concrete PairVerdict streams."""
-    count = 0
-    for pv in pairs:
-        where = f"pair p={pv.p} q={pv.q} q'={pv.q_prime}"
-        _verify_one(pv.p, pv.q, pv.q_prime, pv.verdicts, pv.surviving, where)
-        count += 1
-    return count
+    """Re-derive every pair verdict from definitional oracles.
+
+    Uses the O(p) direct Dedekind sum and raw unit search, independent
+    of the reciprocity fast path and square tables the engine ran with.
+    Raises CrossCheckError on the first disagreement; returns the number
+    of pairs checked.
+    """
+    return _verify(pairs, "pair")
+
+
+def verify_families(families):
+    """verify_pairs for residue families, which also may not survive
+    beyond the exceptional distance bound."""
+    return _verify(families, "family")

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .slopes import FramingShift, Slope, reframe_slope, slope_distance
+from .slopes import Slope, reframe_slope, slope_distance
 
 RATIONAL_LONGITUDE = Slope(0, 1)
 
@@ -36,18 +36,17 @@ RATIONAL_LONGITUDE = Slope(0, 1)
 class WatsonData:
     """The linear model |H_1(M(s))| = c_m * Delta(s', 0/1), s' = s reframed.
 
-    `shift` converts the slope from the framing the surgery description
-    uses into the one where the rational longitude reads 0/1.
+    `shift` is the integer change of longitude that converts the slope
+    from the framing the surgery description uses into the one where the
+    rational longitude reads 0/1.
     """
 
     c_m: int
-    shift: FramingShift
+    shift: int
 
     def __post_init__(self):
         if self.c_m < 1:
             raise ValueError("the homology constant c_m must be >= 1")
-        if isinstance(self.shift, int):
-            object.__setattr__(self, "shift", FramingShift(self.shift))
 
 
 @dataclass(frozen=True)
@@ -96,6 +95,6 @@ def solve_framing_shift(lens_order):
 def deduced_filling_orders(shift_candidates, s, c_m=1):
     """Possible |H_1(M(s))| over a set of candidate framing shifts."""
     return {
-        h1_order_watson(WatsonData(c_m, FramingShift(x)), s)
+        h1_order_watson(WatsonData(c_m, x), s)
         for x in shift_candidates
     }

@@ -28,7 +28,7 @@ from math import gcd
 
 from .dedekind import dedekind_sum_fast
 from .obstructions import ObstructionVerdict
-from .slopes import ExactRational, Slope, format_rational
+from .slopes import format_rational
 
 
 @dataclass(frozen=True)
@@ -100,40 +100,26 @@ class AlexanderPolynomial:
         return {k: a for k, a in self.coefficients}
 
 
-@dataclass(frozen=True)
-class SurgeryCassonInput:
-    """The data the surgery formula consumes.
-
-    lambda_y is the Casson invariant of the ambient homology sphere,
-    delta2 the second derivative of the knot's Alexander polynomial at 1,
-    and slope the surgery coefficient p/q with p >= 1.
-    """
-
-    lambda_y: ExactRational
-    delta2: int
-    slope: Slope
-
-    def __post_init__(self):
-        object.__setattr__(self, "lambda_y", Fraction(self.lambda_y))
-        if self.slope.a < 1:
-            raise ValueError("surgery slope must have p >= 1")
-
-
 def casson_lens(lens):
     """lambda(L(p, q)) = -s(q, p)/2, exactly.  Zero for S^3 = L(1, 0)."""
     return -dedekind_sum_fast(lens.q, lens.p) / 2
 
 
-def casson_surgery(data):
+def casson_surgery(lambda_y, delta2, slope):
     """Casson invariant of p/q surgery via the surgery formula.
 
+    lambda_y is the Casson invariant of the ambient homology sphere,
+    delta2 the second derivative of the knot's Alexander polynomial at 1,
+    and slope the surgery coefficient p/q, which needs p >= 1.  Returns
     lambda(Y) + lambda(L(p, q)) + (q / 2p) * Delta''(1), all exact.
     """
-    p, q = data.slope.a, data.slope.b
+    p, q = slope.a, slope.b
+    if p < 1:
+        raise ValueError("surgery slope must have p >= 1")
     return (
-        data.lambda_y
+        Fraction(lambda_y)
         + casson_lens(LensSpace(p, q))
-        + Fraction(q, 2 * p) * data.delta2
+        + Fraction(q, 2 * p) * delta2
     )
 
 

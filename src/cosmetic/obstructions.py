@@ -32,20 +32,22 @@ class GeometryClass(Enum):
     SMALL_SEIFERT_INFINITE = "small_seifert_infinite"
     TOROIDAL_IRREDUCIBLE_NON_SEIFERT = "toroidal_irreducible_non_seifert"
     FINITE_PI1 = "finite_pi1"
-    EXCEPTIONAL_GENERIC = "exceptional_generic"
 
+
+# Largest slope distance any exceptional filling allows; p * gap beyond
+# this cannot be truly cosmetic.
+EXCEPTIONAL_DISTANCE_BOUND = 8
 
 # Largest slope distance a truly cosmetic pair can realize in each class.
 # Reducible and Seifert-with-essential-torus fillings force distance 1;
 # a toroidal irreducible non-Seifert filling forces distance at most 3,
-# as does finite fundamental group; anything exceptional is capped at 8.
+# as does finite fundamental group.
 _DISTANCE_CAPS = {
     GeometryClass.REDUCIBLE: 1,
     GeometryClass.SEIFERT_TOROIDAL: 1,
-    GeometryClass.SMALL_SEIFERT_INFINITE: 8,
+    GeometryClass.SMALL_SEIFERT_INFINITE: EXCEPTIONAL_DISTANCE_BOUND,
     GeometryClass.TOROIDAL_IRREDUCIBLE_NON_SEIFERT: 3,
     GeometryClass.FINITE_PI1: 3,
-    GeometryClass.EXCEPTIONAL_GENERIC: 8,
 }
 
 
@@ -137,28 +139,26 @@ def linking_congruence(p, q, q_prime):
 
 
 def parity_filter(p, q, q_prime):
-    """Are p/q and p/q' both genuine slopes, i.e. coprime pairs?
+    """Are p/q and p/q' both genuine nontrivial slopes?
 
-    Fails exactly when gcd(q, p) != 1 or gcd(q', p) != 1.  This is what
-    empties the moduli p = 6 and p = 8 (and half of p = 2): one of q,
-    q + gap always shares a factor with p.
+    Fails when gcd(q, p) != 1 or gcd(q', p) != 1.  This is what empties
+    the moduli p = 6 and p = 8 (and half of p = 2): one of q, q + gap
+    always shares a factor with p.  It also fails when q or q' is 0:
+    for p > 1 that is a gcd failure, and for p = 1 the slope is the
+    meridian 1/0, whose filling is the trivial surgery.
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
-    bad = {}
-    g = gcd(q, p)
-    if g != 1:
-        bad["q"] = g
-    g = gcd(q_prime, p)
-    if g != 1:
-        bad["q_prime"] = g
-    if bad:
-        parts = [f"gcd({q}, {p}) = {bad['q']}"] if "q" in bad else []
-        if "q_prime" in bad:
-            parts.append(f"gcd({q_prime}, {p}) = {bad['q_prime']}")
-        return ObstructionVerdict(
-            "parity",
-            False,
-            {"reason": " and ".join(parts) + ", so not a slope pair"},
+    parts = [
+        f"gcd({x}, {p}) = {gcd(x, p)}" for x in (q, q_prime) if gcd(x, p) != 1
+    ]
+    if parts:
+        reason = " and ".join(parts) + ", so not a slope pair"
+    elif 0 in (q, q_prime):  # reached only for p = 1
+        reason = (
+            "1/0 is the meridian, whose filling is the trivial surgery, "
+            "so not a cosmetic pair"
         )
-    return ObstructionVerdict("parity", True)
+    else:
+        return ObstructionVerdict("parity", True)
+    return ObstructionVerdict("parity", False, {"reason": reason})

@@ -3,6 +3,9 @@
 All three formats are deterministic: fixed field order, sorted inputs,
 "\n" line endings.  JSON reports carry a top-level schema_version so
 downstream consumers can detect layout changes.
+
+Each result kind lays out its rows in one function; rows stay generators
+until the shared CSV writer consumes them, so a sweep is never held twice.
 """
 
 from __future__ import annotations
@@ -22,6 +25,10 @@ from .obstructions import distance_cap
 
 REPORT_SCHEMA_VERSION = 1
 
+FORMATS = ("json", "csv", "markdown")
+
+_VERDICT_COLUMNS = list(FILTER_ORDER) + ["surviving", "detail"]
+
 _CASE_TITLES = {
     GeometryClass.REDUCIBLE: "reducible filling",
     GeometryClass.SEIFERT_TOROIDAL: "toroidal Seifert fibred filling",
@@ -33,62 +40,31 @@ _CASE_TITLES = {
 }
 
 
-def verdict_to_dict(verdict):
+def _residue(record):
+    return "any" if record.p == 1 else record.q_residue
+
+
+def _record_dict(record, family):
+    if family:
+        key = {"q_residue": _residue(record)}
+    else:
+        key = {"q": record.q, "q_prime": record.q_prime}
     return {
-        "filter": verdict.filter_name,
-        "passed": verdict.passed,
-        "witness": verdict.witness,
+        "p": record.p,
+        **key,
+        "gap": record.gap,
+        "delta": record.delta,
+        "surviving": record.surviving,
+        "verdicts": [
+            {"filter": v.filter_name, "passed": v.passed, "witness": v.witness}
+            for v in record.verdicts
+        ],
     }
-
-
-def family_to_dict(family):
-    return {
-        "p": family.p,
-        "q_residue": "any" if family.p == 1 else family.q_residue,
-        "gap": family.gap,
-        "delta": family.delta,
-        "surviving": family.surviving,
-        "verdicts": [verdict_to_dict(v) for v in family.verdicts],
-    }
-
-
-def pair_to_dict(pair):
-    return {
-        "p": pair.p,
-        "q": pair.q,
-        "q_prime": pair.q_prime,
-        "gap": pair.gap,
-        "delta": pair.delta,
-        "surviving": pair.surviving,
-        "verdicts": [verdict_to_dict(v) for v in pair.verdicts],
-    }
-
-
-def _json_dumps(payload):
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _verdict_cells(verdicts, selected=FILTER_ORDER):
-    # One cell per canonical filter: pass/fail, "skipped" for filters not
-    # run because parity failed, "" for filters switched off entirely.
-    by_name = {v.filter_name: v for v in verdicts}
-    parity = by_name.get("parity")
-    cells = {}
-    for name in FILTER_ORDER:
-        if name in by_name:
-            cells[name] = "pass" if by_name[name].passed else "fail"
-        elif name in selected and parity is not None and not parity.passed:
-            cells[name] = "skipped"
-        else:
-            cells[name] = ""
-    return cells
 
 
 def _detail(verdicts):
     notes = []
     for v in verdicts:
-        if v.witness is None:
-            continue
         if not v.passed and "reason" in v.witness:
             notes.append(v.witness["reason"])
         elif v.filter_name == "congruence" and v.passed and v.witness["unit"]:
@@ -96,218 +72,152 @@ def _detail(verdicts):
     return "; ".join(notes)
 
 
-def _csv_buffer():
+def _cells(record, selected=FILTER_ORDER):
+    # One cell per canonical filter, then surviving and detail.  A filter
+    # cell is pass/fail, "skipped" for a filter not run because parity
+    # failed, and "" for a filter switched off entirely.
+    by_name = {v.filter_name: v for v in record.verdicts}
+    skipped = "parity" in by_name and not by_name["parity"].passed
+    cells = []
+    for name in FILTER_ORDER:
+        if name in by_name:
+            cells.append("pass" if by_name[name].passed else "fail")
+        elif name in selected and skipped:
+            cells.append("skipped")
+        else:
+            cells.append("")
+    surviving = "yes" if record.surviving else "no"
+    return cells + [surviving, _detail(record.verdicts)]
+
+
+def _json(kind, **fields):
+    payload = {"schema_version": REPORT_SCHEMA_VERSION, "kind": kind, **fields}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _csv(header, rows):
     buffer = io.StringIO()
-    return buffer, csv.writer(buffer, lineterminator="\n")
-
-
-def _family_line(family):
-    bits = [family.describe(), f"delta = {family.delta}"]
-    detail = _detail(family.verdicts)
-    if detail:
-        bits.append(detail)
-    return "; ".join(bits)
-
-
-def _render_table_json(table):
-    cases = []
-    for geometry, families in table.sections:
-        cases.append(
-            {
-                "geometry": geometry.value,
-                "distance_cap": distance_cap(geometry),
-                "families": [family_to_dict(f) for f in families],
-                "note": table.note_for(geometry),
-            }
-        )
-    return _json_dumps(
-        {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "kind": "theorem_table",
-            "cases": cases,
-            "evaluated": [family_to_dict(f) for f in table.evaluated],
-        }
-    )
-
-
-def _render_table_csv(table):
-    buffer, writer = _csv_buffer()
-    writer.writerow(
-        ["geometry", "p", "q_residue", "gap", "delta", "detail"]
-    )
-    for geometry, families in table.sections:
-        for f in families:
-            writer.writerow(
-                [
-                    geometry.value,
-                    f.p,
-                    "any" if f.p == 1 else f.q_residue,
-                    f.gap,
-                    f.delta,
-                    _detail(f.verdicts),
-                ]
-            )
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
     return buffer.getvalue()
 
 
-def _render_table_markdown(table):
+def _markdown(lines, footer):
+    return "\n".join([*lines, "", footer, ""])
+
+
+def _markdown_row(cells):
+    return "| " + " | ".join(str(cell) for cell in cells) + " |"
+
+
+def _markdown_table(preamble, header, rows, footer):
+    lines = [*preamble, _markdown_row(header), "|" + " --- |" * len(header)]
+    lines.extend(_markdown_row(row) for row in rows)
+    return _markdown(lines, footer)
+
+
+def _theorem_report(table, fmt):
+    if fmt == "json":
+        cases = [
+            {
+                "geometry": geometry.value,
+                "distance_cap": distance_cap(geometry),
+                "families": [_record_dict(f, True) for f in families],
+                "note": table.note_for(geometry),
+            }
+            for geometry, families in table.sections.items()
+        ]
+        evaluated = [_record_dict(f, True) for f in table.evaluated]
+        return _json("theorem_table", cases=cases, evaluated=evaluated)
+    if fmt == "csv":
+        return _csv(
+            ["geometry", "p", "q_residue", "gap", "delta", "detail"],
+            (
+                [geometry.value, f.p, _residue(f), f.gap, f.delta,
+                 _detail(f.verdicts)]
+                for geometry, families in table.sections.items()
+                for f in families
+            ),
+        )
     lines = [
         "# Truly cosmetic exceptional surgeries: surviving slope families",
         "",
         "A truly cosmetic pair of exceptional surgeries p/q, p/q' (q < q')",
         "on a hyperbolic knot in an integer homology sphere falls into one",
         "of the cases below; every family not listed is obstructed.",
-        "",
     ]
-    for index, (geometry, families) in enumerate(table.sections, start=1):
+    sections = table.sections.items()
+    for index, (geometry, families) in enumerate(sections, start=1):
         cap = distance_cap(geometry)
-        lines.append(
-            f"## Case {index}: {_CASE_TITLES[geometry]} "
-            f"(distance cap {cap})"
-        )
-        lines.append("")
-        if families:
-            for f in families:
-                lines.append(f"- {_family_line(f)}")
-        else:
+        lines += [
+            "",
+            f"## Case {index}: {_CASE_TITLES[geometry]} (distance cap {cap})",
+            "",
+        ]
+        for f in families:
+            bits = [f.describe(), f"delta = {f.delta}", _detail(f.verdicts)]
+            lines.append("- " + "; ".join(bit for bit in bits if bit))
+        if not families:
             note = table.note_for(geometry)
             lines.append(f"- {note}" if note else "- no surviving family")
-        lines.append("")
     obstructed = sum(1 for f in table.evaluated if not f.surviving)
-    lines.append(
+    return _markdown(
+        lines,
         f"{len(table.evaluated)} residue families evaluated in total; "
-        f"{obstructed} obstructed."
-    )
-    lines.append("")
-    return "\n".join(lines)
-
-
-def _render_classify_json(result):
-    return _json_dumps(
-        {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "kind": "classification",
-            "p": result.p,
-            "families": [family_to_dict(f) for f in result.families],
-            "surviving": [family_to_dict(f) for f in result.surviving],
-        }
+        f"{obstructed} obstructed.",
     )
 
 
-def _render_classify_csv(result):
-    buffer, writer = _csv_buffer()
-    writer.writerow(
-        ["p", "q_residue", "gap", "delta"]
-        + list(FILTER_ORDER)
-        + ["surviving", "detail"]
-    )
-    for f in result.families:
-        cells = _verdict_cells(f.verdicts)
-        writer.writerow(
-            [f.p, "any" if f.p == 1 else f.q_residue, f.gap, f.delta]
-            + [cells[name] for name in FILTER_ORDER]
-            + ["yes" if f.surviving else "no", _detail(f.verdicts)]
+def _classify_report(result, fmt):
+    if fmt == "json":
+        return _json(
+            "classification",
+            p=result.p,
+            families=[_record_dict(f, True) for f in result.families],
+            surviving=[_record_dict(f, True) for f in result.surviving],
         )
-    return buffer.getvalue()
-
-
-def _render_classify_markdown(result):
-    lines = [
-        f"# Residue families for p = {result.p}",
-        "",
-        "| family | delta | "
-        + " | ".join(FILTER_ORDER)
-        + " | surviving | detail |",
-        "|" + " --- |" * (len(FILTER_ORDER) + 4),
-    ]
-    for f in result.families:
-        cells = _verdict_cells(f.verdicts)
-        lines.append(
-            f"| {f.describe()} | {f.delta} | "
-            + " | ".join(cells[name] for name in FILTER_ORDER)
-            + f" | {'yes' if f.surviving else 'no'} | {_detail(f.verdicts)} |"
+    if fmt == "csv":
+        return _csv(
+            ["p", "q_residue", "gap", "delta"] + _VERDICT_COLUMNS,
+            ([f.p, _residue(f), f.gap, f.delta] + _cells(f)
+             for f in result.families),
         )
-    lines.append("")
-    lines.append(
-        f"{len(result.surviving)} of {len(result.families)} families survive."
-    )
-    lines.append("")
-    return "\n".join(lines)
-
-
-def _render_pairs_json(result):
-    return _json_dumps(
-        {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "kind": "enumeration",
-            "filters": list(result.filters),
-            "max_gap": result.max_gap,
-            "warnings": list(result.warnings),
-            "pairs": [pair_to_dict(pv) for pv in result.pairs],
-            "survivor_count": len(result.surviving),
-        }
+    return _markdown_table(
+        [f"# Residue families for p = {result.p}", ""],
+        ["family", "delta"] + _VERDICT_COLUMNS,
+        ([f.describe(), f.delta] + _cells(f) for f in result.families),
+        f"{len(result.surviving)} of {len(result.families)} families survive.",
     )
 
 
-def _render_pairs_csv(result):
-    buffer, writer = _csv_buffer()
-    writer.writerow(
-        ["p", "q", "q_prime", "gap", "delta"]
-        + list(FILTER_ORDER)
-        + ["surviving", "detail"]
-    )
-    selected = ("parity",) + tuple(result.filters)
-    for pv in result.pairs:
-        cells = _verdict_cells(pv.verdicts, selected)
-        writer.writerow(
-            [pv.p, pv.q, pv.q_prime, pv.gap, pv.delta]
-            + [cells[name] for name in FILTER_ORDER]
-            + ["yes" if pv.surviving else "no", _detail(pv.verdicts)]
+def _enumeration_report(result, fmt):
+    if fmt == "json":
+        return _json(
+            "enumeration",
+            filters=list(result.filters),
+            max_gap=result.max_gap,
+            warnings=list(result.warnings),
+            pairs=[_record_dict(pv, False) for pv in result.pairs],
+            survivor_count=len(result.surviving),
         )
-    return buffer.getvalue()
-
-
-def _render_pairs_markdown(result):
-    lines = [
-        "# Pair sweep",
-        "",
-    ]
+    if fmt == "csv":
+        return _csv(
+            ["p", "q", "q_prime", "gap", "delta"] + _VERDICT_COLUMNS,
+            ([pv.p, pv.q, pv.q_prime, pv.gap, pv.delta]
+             + _cells(pv, result.filters) for pv in result.pairs),
+        )
+    preamble = ["# Pair sweep", ""]
     for warning in result.warnings:
-        lines.append(f"Note: {warning}")
-        lines.append("")
-    lines.append(
-        "| p | q | q' | delta | "
-        + " | ".join(FILTER_ORDER)
-        + " | surviving |"
+        preamble += [f"Note: {warning}", ""]
+    # The markdown sweep table leaves out the detail column.
+    return _markdown_table(
+        preamble,
+        ["p", "q", "q'", "delta"] + _VERDICT_COLUMNS[:-1],
+        ([pv.p, pv.q, pv.q_prime, pv.delta] + _cells(pv, result.filters)[:-1]
+         for pv in result.pairs),
+        f"{len(result.surviving)} of {len(result.pairs)} pairs survive.",
     )
-    lines.append("|" + " --- |" * (len(FILTER_ORDER) + 5))
-    selected = ("parity",) + tuple(result.filters)
-    for pv in result.pairs:
-        cells = _verdict_cells(pv.verdicts, selected)
-        lines.append(
-            f"| {pv.p} | {pv.q} | {pv.q_prime} | {pv.delta} | "
-            + " | ".join(cells[name] for name in FILTER_ORDER)
-            + f" | {'yes' if pv.surviving else 'no'} |"
-        )
-    lines.append("")
-    lines.append(
-        f"{len(result.surviving)} of {len(result.pairs)} pairs survive."
-    )
-    lines.append("")
-    return "\n".join(lines)
-
-
-_RENDERERS = {
-    (ClassificationTable, "json"): _render_table_json,
-    (ClassificationTable, "csv"): _render_table_csv,
-    (ClassificationTable, "markdown"): _render_table_markdown,
-    (ClassifyResult, "json"): _render_classify_json,
-    (ClassifyResult, "csv"): _render_classify_csv,
-    (ClassifyResult, "markdown"): _render_classify_markdown,
-    (EnumerationResult, "json"): _render_pairs_json,
-    (EnumerationResult, "csv"): _render_pairs_csv,
-    (EnumerationResult, "markdown"): _render_pairs_markdown,
-}
 
 
 def emit_report(result, format="json"):
@@ -316,10 +226,13 @@ def emit_report(result, format="json"):
     `format` is one of json, csv, markdown.  Returns the report text;
     identical inputs give identical bytes.
     """
-    try:
-        renderer = _RENDERERS[(type(result), format)]
-    except KeyError:
+    kind = {
+        ClassificationTable: _theorem_report,
+        ClassifyResult: _classify_report,
+        EnumerationResult: _enumeration_report,
+    }.get(type(result))
+    if kind is None or format not in FORMATS:
         raise ValueError(
             f"cannot render {type(result).__name__} as {format!r}"
         )
-    return renderer(result)
+    return kind(result, format)

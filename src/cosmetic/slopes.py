@@ -15,9 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-# The one exact rational type used across the package.
-ExactRational = Fraction
-
 
 def parse_rational(text):
     """Parse "n/d" (or a bare integer "n") into an exact rational."""
@@ -92,22 +89,11 @@ def slope_distance(r, s):
     return abs(r.a * s.b - r.b * s.a)
 
 
-@dataclass(frozen=True)
-class FramingShift:
-    """An integer change of longitude: lambda -> lambda + shift * mu.
-
-    Relates a surgery description in one framing to the same filling in
-    another; the slope a*mu + b*lambda becomes (a + b*shift)*mu + b*lambda.
-    """
-
-    shift: int
-
-
 def reframe_slope(s, shift):
-    """Rewrite the slope s in a framing shifted by `shift` (int or FramingShift).
+    """Rewrite the slope s in a framing shifted by the integer `shift`.
 
-    Sends a/b to (a + b*shift)/b, then canonicalizes.  Applying shift f
+    The change of longitude lambda -> lambda + shift * mu sends a/b to
+    (a + b*shift)/b, which is then canonicalized.  Applying shift f
     followed by -f is the identity.
     """
-    f = shift.shift if isinstance(shift, FramingShift) else int(shift)
-    return canonicalize_slope(s.a + s.b * f, s.b)
+    return canonicalize_slope(s.a + s.b * shift, s.b)

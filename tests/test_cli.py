@@ -100,3 +100,26 @@ def test_broken_census_exits_two(tmp_path):
     proc = run_cli("replicate-theorem", "--census-file", str(path), expect=2)
     assert proc.stderr.startswith("cross-check failed:")
     assert "M6" in proc.stderr
+
+
+def test_usage_errors_exit_one_and_help_exits_zero():
+    proc = run_cli("enumerate", "--p", "3", "--q", "-3..-1", expect=1)
+    assert "usage:" in proc.stderr
+    run_cli(expect=1)
+    assert "usage:" in run_cli("--help").stdout
+    assert "--jobs" in run_cli("enumerate", "--help").stdout
+
+
+def test_missing_census_file_exits_one(tmp_path):
+    missing = str(tmp_path / "absent.json")
+    for args in (("replicate-theorem",), ("census", "show", "M8")):
+        proc = run_cli(*args, "--census-file", missing, expect=1)
+        assert proc.stderr.startswith("error:")
+        assert "absent.json" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def test_jobs_below_one_rejected():
+    proc = run_cli("enumerate", "--p", "3", "--q", "1..5", "--jobs", "0",
+                   expect=1)
+    assert proc.stderr == "error: jobs must be at least 1\n"

@@ -4,7 +4,6 @@ from math import gcd
 import pytest
 
 from cosmetic.dedekind import (
-    dedekind_equal,
     dedekind_sum_direct,
     dedekind_sum_fast,
     sawtooth,
@@ -113,9 +112,3 @@ def test_reciprocity():
                 Fraction(p, q) + Fraction(q, p) + Fraction(1, p * q)
             ) / 12
             assert lhs == rhs
-
-
-def test_dedekind_equal():
-    assert dedekind_equal(2, 3, 5)
-    assert not dedekind_equal(5, 6, 7)
-    assert dedekind_equal(1, 8, 7)

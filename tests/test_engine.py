@@ -2,8 +2,8 @@ import pytest
 
 from cosmetic.engine import (
     EXCEPTIONAL_DISTANCE_BOUND,
+    _pool_size,
     FILTER_ORDER,
-    CandidateFamily,
     CrossCheckError,
     PairVerdict,
     classify_candidates,
@@ -52,8 +52,8 @@ def test_family_descriptions():
     assert surviving_families(5)[0].describe() == "p = 5, q = 2 (mod 5), q' = q + 1"
     assert surviving_families(1)[0].describe() == "p = 1, any q, q' = q + 1"
     assert surviving_families(5)[0].delta == 5
-    assert surviving_families(5)[0].representative() == 2
-    assert surviving_families(1)[0].representative() == 1
+    assert surviving_families(5)[0].q == 2
+    assert surviving_families(1)[0].q == 1
 
 
 def test_p2_survivors_have_zero_dedekind_sums():
@@ -87,7 +87,7 @@ def test_verify_catches_forged_survival():
         if v.filter_name == "dedekind" else v
         for v in family.verdicts
     )
-    bad = CandidateFamily(family.p, family.q_residue, family.gap, tampered, False)
+    bad = PairVerdict(family.p, family.q, family.q_prime, tampered, False)
     with pytest.raises(CrossCheckError):
         verify_families([bad])
 
@@ -178,3 +178,27 @@ def test_run_classification_verifies_by_default():
     assert result.p == 6
     assert result.surviving == ()
     assert len(result.families) == 6
+
+
+def test_pool_size_is_clamped_to_cpus_and_tasks():
+    assert _pool_size(1, 100, cpus=8) == 1
+    assert _pool_size(4, 100, cpus=8) == 4
+    assert _pool_size(64, 100, cpus=8) == 8
+    assert _pool_size(64, 3, cpus=8) == 3
+    assert _pool_size(4, 0, cpus=8) == 1
+    for jobs in (0, -2):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            _pool_size(jobs, 10, cpus=8)
+
+
+def test_meridian_pairs_do_not_survive():
+    result = run_enumeration([1], range(0, 3))
+    by_pair = {(pv.q, pv.q_prime): pv for pv in result.pairs}
+    assert [key for key, pv in by_pair.items() if pv.surviving] == [(1, 2)]
+    for key in ((0, 1), (0, 2)):
+        parity = {v.filter_name: v for v in by_pair[key].verdicts}["parity"]
+        assert not parity.passed
+        assert "meridian" in parity.witness["reason"]
+    forged = PairVerdict(1, 0, 1, (ObstructionVerdict("parity", True),), True)
+    with pytest.raises(CrossCheckError):
+        verify_pairs([forged])

@@ -9,7 +9,6 @@ from cosmetic.dedekind import dedekind_sum_fast
 from cosmetic.invariants import (
     AlexanderPolynomial,
     LensSpace,
-    SurgeryCassonInput,
     alexander_second_derivative_at_1,
     casson_lens,
     casson_surgery,
@@ -46,14 +45,12 @@ def test_casson_lens_is_half_dedekind_sum():
 
 
 def test_casson_surgery_examples():
-    assert casson_surgery(SurgeryCassonInput(Fraction(0), 2, Slope(1, 1))) == 1
+    assert casson_surgery(Fraction(0), 2, Slope(1, 1)) == 1
     for q in range(1, 11):
-        data = SurgeryCassonInput(Fraction(0), 2, canonicalize_slope(1, q))
-        assert casson_surgery(data) == q
-    neg = SurgeryCassonInput(Fraction(0), 2, canonicalize_slope(1, -3))
-    assert casson_surgery(neg) == -3
-    shifted = SurgeryCassonInput(Fraction(3, 7), 0, Slope(5, 2))
-    assert casson_surgery(shifted) == Fraction(3, 7) + casson_lens(LensSpace(5, 2))
+        assert casson_surgery(Fraction(0), 2, canonicalize_slope(1, q)) == q
+    assert casson_surgery(Fraction(0), 2, canonicalize_slope(1, -3)) == -3
+    shifted = casson_surgery(Fraction(3, 7), 0, Slope(5, 2))
+    assert shifted == Fraction(3, 7) + casson_lens(LensSpace(5, 2))
 
 
 def test_casson_surgery_blind_to_surviving_pairs():
@@ -61,14 +58,14 @@ def test_casson_surgery_blind_to_surviving_pairs():
     whenever q = 2 (mod 5): both lens corrections are zero."""
     lam = Fraction(-2, 3)
     for q in range(2, 100, 5):
-        a = casson_surgery(SurgeryCassonInput(lam, 0, canonicalize_slope(5, q)))
-        b = casson_surgery(SurgeryCassonInput(lam, 0, canonicalize_slope(5, q + 1)))
+        a = casson_surgery(lam, 0, canonicalize_slope(5, q))
+        b = casson_surgery(lam, 0, canonicalize_slope(5, q + 1))
         assert a == b == lam
 
 
 def test_surgery_input_validation():
     with pytest.raises(ValueError):
-        SurgeryCassonInput(Fraction(0), 0, Slope(0, 1))
+        casson_surgery(Fraction(0), 0, Slope(0, 1))
 
 
 def test_alexander_examples():

@@ -3,6 +3,7 @@ from math import gcd
 import pytest
 
 from cosmetic.obstructions import (
+    EXCEPTIONAL_DISTANCE_BOUND,
     GeometryClass,
     ObstructionVerdict,
     distance_cap,
@@ -110,13 +111,21 @@ def test_parity_examples():
         assert not parity_filter(6, q, q + 1).passed
 
 
+def test_parity_rejects_the_meridian():
+    # 1/0 is a slope, but its filling is the trivial surgery
+    for q, q_prime in ((0, 1), (-1, 0)):
+        v = parity_filter(1, q, q_prime)
+        assert not v.passed
+        assert "meridian" in v.witness["reason"]
+
+
 def test_distance_caps():
     assert distance_cap(GeometryClass.REDUCIBLE) == 1
     assert distance_cap(GeometryClass.SEIFERT_TOROIDAL) == 1
     assert distance_cap(GeometryClass.SMALL_SEIFERT_INFINITE) == 8
     assert distance_cap(GeometryClass.TOROIDAL_IRREDUCIBLE_NON_SEIFERT) == 3
     assert distance_cap(GeometryClass.FINITE_PI1) == 3
-    assert distance_cap(GeometryClass.EXCEPTIONAL_GENERIC) == 8
+    assert EXCEPTIONAL_DISTANCE_BOUND == 8
 
 
 def test_failing_verdict_requires_witness():

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from cosmetic.slopes import (
-    FramingShift,
     Slope,
     canonicalize_slope,
     format_rational,
@@ -106,11 +105,11 @@ def test_distance_invariant_under_basis_change():
 
 def test_reframe_examples():
     assert reframe_slope(Slope(0, 1), 5) == Slope(5, 1)
-    assert reframe_slope(canonicalize_slope(-1, 1), FramingShift(5)) == Slope(4, 1)
+    assert reframe_slope(canonicalize_slope(-1, 1), 5) == Slope(4, 1)
     for shift in (5, -3, 9, -7):
         got = reframe_slope(canonicalize_slope(-1, 1), shift)
         assert got == canonicalize_slope(shift - 1, 1)
-    assert reframe_slope(Slope(5, 2), FramingShift(0)) == Slope(5, 2)
+    assert reframe_slope(Slope(5, 2), 0) == Slope(5, 2)
 
 
 def test_reframe_round_trip():
