@@ -335,13 +335,6 @@ def run_enumeration(p_values, q_values, filters="all", max_gap=None,
     return EnumerationResult(pairs, chosen, max_gap, warnings)
 
 
-def _is_unit_witness(p, q, q_prime, u):
-    # Definitional: u is a unit mod p with q = q' u^2 (mod p); 0 for p = 1.
-    if p == 1:
-        return u == 0
-    return 1 <= u < p and gcd(u, p) == 1 and (q - q_prime * u * u) % p == 0
-
-
 def _verify_one(record, where):
     p, q, q_prime = record.p, record.q, record.q_prime
     names = set()
@@ -357,15 +350,21 @@ def _verify_one(record, where):
         elif v.filter_name == "congruence":
             # Exhaustive search over all units mod p.
             expected = p == 1 or any(
-                _is_unit_witness(p, q, q_prime, u) for u in range(1, p)
+                gcd(u, p) == 1 and (q - q_prime * u * u) % p == 0
+                for u in range(1, p)
             )
-            if v.passed and not _is_unit_witness(
-                p, q, q_prime, v.witness["unit"]
-            ):
-                raise CrossCheckError(
-                    f"{where}: recorded congruence unit {v.witness['unit']} "
-                    f"does not satisfy q = q' u^2 (mod {p})"
+            if v.passed:
+                u = v.witness["unit"]
+                good = (u == 0) if p == 1 else (
+                    1 <= u < p
+                    and gcd(u, p) == 1
+                    and (q - q_prime * u * u) % p == 0
                 )
+                if not good:
+                    raise CrossCheckError(
+                        f"{where}: recorded congruence unit {u} does not "
+                        f"satisfy q = q' u^2 (mod {p})"
+                    )
         elif v.filter_name == "dedekind":
             expected = dedekind_sum_direct(q, p) == dedekind_sum_direct(
                 q_prime, p
