@@ -2,7 +2,6 @@ import pytest
 
 from cosmetic.engine import (
     EXCEPTIONAL_DISTANCE_BOUND,
-    _pool_size,
     FILTER_ORDER,
     CrossCheckError,
     PairVerdict,
@@ -14,6 +13,7 @@ from cosmetic.engine import (
     surviving_families,
     verify_families,
     verify_pairs,
+    _pool_size,
 )
 from cosmetic.obstructions import GeometryClass, ObstructionVerdict
 from cosmetic.report import emit_report
