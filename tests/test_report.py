@@ -127,6 +127,10 @@ GOLDEN_CASES = {
     "enumerate-sparse-q": lambda: run_enumeration(
         [2, 4, 6, 7], [1, 2, 3, 5, 8, 13, 21, 34],
         filters=["distance", "congruence"]),
+    # Large p: 105 is composite, so a unit square can have several roots
+    # and the witness unit is a choice; 131 is prime.
+    "enumerate-large-p": lambda: run_enumeration(
+        [105, 131], range(1, 81), filters=["congruence", "dedekind"]),
 }
 
 # SHA-256 of the json, csv and markdown reports of each case.
@@ -205,6 +209,11 @@ GOLDEN_SHA256 = {
         "770cfd0a9fa63f8c9d7ed2768879b63d82352223cd4f552eeeb7bab15f90cd2f",
         "9a0bf560c867872db7417d92cd1d6e49a4fd7a3684bc03532539a21ee0f2a33a",
         "f16e71ba9898bb05c49190c4391ed7d0a6fef00ab93f3b5a03c770be7b5d1b85",
+    ),
+    "enumerate-large-p": (
+        "1d366e1af6d7ff2ad5ec13c9075428971c39a444c425d8ed6f7d587491c5dbdd",
+        "71a59d616b8ec53cfda05eb84bb6d1c57db12fb110364fac7a5f0cc0961ee359",
+        "3d56683afe4d665cbeb74af08fac101bca282c8590eaf16f980a5b2277fb7926",
     ),
 }
 
