@@ -40,6 +40,17 @@ EXPECTED_IDS = tuple(EXPECTED_DISTANCES)
 
 _TWO_TORUS_IDS = frozenset({"M1", "M2", "M3", "M14"})
 
+# The fields zhs_exterior_filter reads from each kind of homology fact.
+_FACT_FIELDS = {
+    "cited_exclusion": ("statement",),
+    "filling_homology": ("filling", "betti", "torsion"),
+    "quotient_homology": ("filling", "betti", "torsion"),
+    "lens_filling_torsion": (),
+    "framing_shift_exclusion": (),
+    "whitehead_surgery_determinant": ("fixed_slope",),
+    "alexander_polynomial": ("coefficients", "statement"),
+}
+
 
 @dataclass(frozen=True)
 class KnownFilling:
@@ -116,6 +127,18 @@ def _validate_record(record):
                 raise ValueError(
                     f"{rid}: lens filling {filling.description!r} must "
                     "record order equal to the first lens parameter"
+                )
+    for index, fact in enumerate(record.homology_facts):
+        kind = fact.get("kind") if isinstance(fact, dict) else None
+        if kind not in _FACT_FIELDS:
+            raise ValueError(
+                f"{rid}: homology fact {index} has unknown kind {kind!r}"
+            )
+        for name in _FACT_FIELDS[kind]:
+            if name not in fact:
+                raise ValueError(
+                    f"{rid}: homology fact {index} ({kind}) has no "
+                    f"{name!r} field"
                 )
 
 

@@ -15,8 +15,10 @@ positive q, so families and concrete pairs share one record type,
 Every verdict the engine produces can be re-derived from first
 principles: `verify_families` and `verify_pairs` recompute each filter
 from its definitional oracle (the O(p) direct Dedekind sum, exhaustive
-unit search) and raise CrossCheckError on any disagreement.  The CLI
-turns that into exit code 2.
+unit search) and raise CrossCheckError on any disagreement.  Those
+oracles read q only through q mod p, so one verify pass memoizes them
+per residue; they never read the engine's square-root table or
+reciprocity cache.  The CLI turns a disagreement into exit code 2.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .obstructions import (
     linking_congruence,
     parity_filter,
 )
+from .slopes import format_rational
 
 # Canonical filter order for verdict trails and report columns.  Parity
 # always runs; the other three can be switched off in bulk sweeps.
@@ -323,7 +326,7 @@ def run_enumeration(p_values, q_values, filters="all", max_gap=None,
         enumerate_pairs(p_values, q_values, chosen, max_gap, jobs)
     )
     if verify:
-        verify_pairs(pairs)
+        verify_pairs(pairs, filters=chosen)
     warnings = ()
     if "distance" not in chosen and any(
         pv.delta > EXCEPTIONAL_DISTANCE_BOUND for pv in pairs
@@ -335,63 +338,143 @@ def run_enumeration(p_values, q_values, filters="all", max_gap=None,
     return EnumerationResult(pairs, chosen, max_gap, warnings)
 
 
-def _verify_one(record, where):
+def _expect(verdict, passed, where):
+    if verdict.passed != passed:
+        raise CrossCheckError(
+            f"{where}: {verdict.filter_name} verdict says "
+            f"{'pass' if verdict.passed else 'fail'} but the oracle says "
+            f"{'pass' if passed else 'fail'}"
+        )
+
+
+def _field(verdict, key, where):
+    try:
+        return verdict.witness[key]
+    except (KeyError, TypeError):
+        raise CrossCheckError(
+            f"{where}: {verdict.filter_name} witness has no {key!r}"
+        ) from None
+
+
+def _expect_field(verdict, key, value, where):
+    got = _field(verdict, key, where)
+    if got != value:
+        raise CrossCheckError(
+            f"{where}: {verdict.filter_name} witness {key} is {got!r} but "
+            f"the oracle gives {value!r}"
+        )
+
+
+# The oracles below read q only through q mod p, so within one verify
+# pass they are memoized per residue.  The memo is cleared whenever p
+# changes, and it never shares state with the engine's caches.
+
+def _direct_sum_text(memo, x, p):
+    # s(x, p) by the direct sum, as the witness writes it.  Fractions are
+    # in lowest terms, so equal texts mean equal sums.
+    key = ("sum", x % p)
+    text = memo.get(key)
+    if text is None:
+        text = memo[key] = format_rational(dedekind_sum_direct(x, p))
+    return text
+
+
+def _unit_images(memo, x, p):
+    # Exhaustive unit search: marks x * u^2 mod p for every unit u in
+    # 1..p-1.
+    key = ("images", x % p)
+    images = memo.get(key)
+    if images is None:
+        images = memo[key] = bytearray(p)
+        for u in range(1, p):
+            if gcd(u, p) == 1:
+                images[x * u * u % p] = 1
+    return images
+
+
+def _unit_square_list(memo, p):
+    squares = memo.get("squares")
+    if squares is None:
+        images = _unit_images(memo, 1, p)
+        squares = memo["squares"] = [r for r in range(p) if images[r]]
+    return squares
+
+
+def _verify_one(record, where, filters, memo):
     p, q, q_prime = record.p, record.q, record.q_prime
-    names = set()
+    # Both p/q and p/q' primitive, and neither the meridian 1/0.
+    coprime = 0 not in (q, q_prime) and (
+        gcd(q, p) == 1 and gcd(q_prime, p) == 1
+    )
+    # The selected filters plus parity, in FILTER_ORDER; congruence and
+    # Dedekind are undefined, so absent, after a parity failure.
+    names = [v.filter_name for v in record.verdicts]
+    chosen = set(names if filters is None else filters) | {"parity"}
+    allowed = FILTER_ORDER if coprime else FILTER_ORDER[:2]
+    expected_names = [name for name in allowed if name in chosen]
+    if names != expected_names:
+        raise CrossCheckError(
+            f"{where}: trail has filters {names}, expected {expected_names}"
+        )
     for v in record.verdicts:
-        names.add(v.filter_name)
         if v.filter_name == "distance":
-            expected = p * (q_prime - q) <= EXCEPTIONAL_DISTANCE_BOUND
+            delta = p * (q_prime - q)
+            _expect(v, delta <= EXCEPTIONAL_DISTANCE_BOUND, where)
+            _expect_field(v, "delta", delta, where)
         elif v.filter_name == "parity":
-            # Both p/q and p/q' primitive, and neither the meridian 1/0.
-            expected = 0 not in (q, q_prime) and (
-                gcd(q, p) == 1 and gcd(q_prime, p) == 1
-            )
-        elif v.filter_name == "congruence":
-            # Exhaustive search over all units mod p.
-            expected = p == 1 or any(
-                gcd(u, p) == 1 and (q - q_prime * u * u) % p == 0
-                for u in range(1, p)
-            )
-            if v.passed:
-                u = v.witness["unit"]
-                good = (u == 0) if p == 1 else (
-                    1 <= u < p
-                    and gcd(u, p) == 1
-                    and (q - q_prime * u * u) % p == 0
+            _expect(v, coprime, where)
+            if coprime:
+                continue
+            # The reason must name what fails: each gcd, or the meridian.
+            causes = [
+                f"gcd({x}, {p}) = {gcd(x, p)}"
+                for x in (q, q_prime) if gcd(x, p) != 1
+            ] or ["meridian"]
+            reason = _field(v, "reason", where)
+            if not all(cause in reason for cause in causes):
+                raise CrossCheckError(
+                    f"{where}: parity witness {reason!r} does not name "
+                    f"{' and '.join(causes)}"
                 )
-                if not good:
-                    raise CrossCheckError(
-                        f"{where}: recorded congruence unit {u} does not "
-                        f"satisfy q = q' u^2 (mod {p})"
-                    )
-        elif v.filter_name == "dedekind":
-            expected = dedekind_sum_direct(q, p) == dedekind_sum_direct(
-                q_prime, p
+        elif v.filter_name == "congruence":
+            passed = p == 1 or bool(_unit_images(memo, q_prime, p)[q % p])
+            _expect(v, passed, where)
+            if not passed:
+                _expect_field(v, "unit_squares", _unit_square_list(memo, p),
+                              where)
+                continue
+            u = _field(v, "unit", where)
+            good = (u == 0) if p == 1 else (
+                1 <= u < p
+                and gcd(u, p) == 1
+                and (q - q_prime * u * u) % p == 0
             )
+            if not good:
+                raise CrossCheckError(
+                    f"{where}: recorded congruence unit {u} does not "
+                    f"satisfy q = q' u^2 (mod {p})"
+                )
         else:
-            raise CrossCheckError(
-                f"{where}: unknown filter {v.filter_name!r} in trail"
-            )
-        if v.passed != expected:
-            raise CrossCheckError(
-                f"{where}: {v.filter_name} verdict says "
-                f"{'pass' if v.passed else 'fail'} but the oracle says "
-                f"{'pass' if expected else 'fail'}"
-            )
-    if "parity" not in names:
-        raise CrossCheckError(f"{where}: trail is missing the parity filter")
+            s_q = _direct_sum_text(memo, q, p)
+            s_q_prime = _direct_sum_text(memo, q_prime, p)
+            _expect(v, s_q == s_q_prime, where)
+            _expect_field(v, "s_q", s_q, where)
+            _expect_field(v, "s_q_prime", s_q_prime, where)
     if record.surviving != all(v.passed for v in record.verdicts):
         raise CrossCheckError(
             f"{where}: surviving flag is inconsistent with the trail"
         )
 
 
-def _verify(records, kind):
+def _verify(records, kind, filters):
+    memo, memo_p = {}, None
     count = 0
     for record in records:
+        if record.p != memo_p:
+            memo.clear()
+            memo_p = record.p
         where = f"{kind} p={record.p} q={record.q} q'={record.q_prime}"
-        _verify_one(record, where)
+        _verify_one(record, where, filters, memo)
         if kind == "family" and record.surviving and (
             record.delta > EXCEPTIONAL_DISTANCE_BOUND
         ):
@@ -403,18 +486,27 @@ def _verify(records, kind):
     return count
 
 
-def verify_pairs(pairs):
+def verify_pairs(pairs, *, filters=None):
     """Re-derive every pair verdict from definitional oracles.
 
-    Uses the O(p) direct Dedekind sum and raw unit search, independent
-    of the reciprocity fast path and square tables the engine ran with.
-    Raises CrossCheckError on the first disagreement; returns the number
-    of pairs checked.
+    Uses the O(p) direct Dedekind sum and an exhaustive unit search,
+    independent of the reciprocity fast path and square-root table the
+    engine ran with; within one call each oracle runs once per residue
+    q mod p, as it reads q only through that residue.  Every pass/fail
+    is recomputed, and so are the witness's delta, Dedekind values,
+    congruence unit and unit squares.  With `filters` (as for
+    enumerate_pairs) a trail must hold exactly those filters and parity,
+    in FILTER_ORDER, with congruence and Dedekind absent after a parity
+    failure; without it, any in-order subset that includes parity is
+    accepted.  Raises CrossCheckError on the first disagreement; returns
+    the number of pairs checked.
     """
-    return _verify(pairs, "pair")
+    if filters is not None:
+        filters = _normalize_filters(filters)
+    return _verify(pairs, "pair", filters)
 
 
 def verify_families(families):
-    """verify_pairs for residue families, which also may not survive
-    beyond the exceptional distance bound."""
-    return _verify(families, "family")
+    """verify_pairs for residue families, which carry all four filters
+    and also may not survive beyond the exceptional distance bound."""
+    return _verify(families, "family", SELECTABLE_FILTERS)

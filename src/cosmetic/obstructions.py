@@ -74,11 +74,19 @@ class ObstructionVerdict:
             raise ValueError("a failing verdict must carry a witness")
 
 
-@lru_cache(maxsize=1024)
+# Sweeps visit p in sorted order, so a few entries suffice and memory
+# depends on p, not on how many moduli a sweep holds.
+@lru_cache(maxsize=32)
 def _unit_squares(p):
+    # {u^2 mod p: the smallest unit u with that square}, by one O(p) scan,
+    # with the squares in ascending order.
     if p == 1:
-        return frozenset({0})
-    return frozenset((u * u) % p for u in range(1, p) if gcd(u, p) == 1)
+        return {0: 0}
+    roots = {}
+    for u in range(1, p):
+        if gcd(u, p) == 1:
+            roots.setdefault(u * u % p, u)
+    return dict(sorted(roots.items()))
 
 
 def unit_squares_mod(p):
@@ -94,11 +102,9 @@ def unit_squares_mod(p):
 
 def _smallest_unit_witness(p, q, q2):
     # Smallest u in [1, p-1] with gcd(u, p) = 1 and q = q2 * u^2 (mod p),
-    # or None.  Exhaustive on purpose; p is small in every intended use.
-    for u in range(1, p):
-        if gcd(u, p) == 1 and (q - q2 * u * u) % p == 0:
-            return u
-    return None
+    # or None.  For a unit q2 that is the smallest root of u^2 = q / q2,
+    # read from the per-p square-root table.
+    return _unit_squares(p).get(q * pow(q2, -1, p) % p)
 
 
 def linking_congruence(p, q, q_prime):
@@ -132,7 +138,7 @@ def linking_congruence(p, q, q_prime):
             False,
             {
                 "reason": f"no unit square maps {q_prime} to {q} mod {p}",
-                "unit_squares": sorted(_unit_squares(p)),
+                "unit_squares": list(_unit_squares(p)),
             },
         )
     return ObstructionVerdict("congruence", True, {"unit": u})

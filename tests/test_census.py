@@ -11,6 +11,7 @@ from cosmetic.census import (
     verify_census_exclusions,
     zhs_exterior_filter,
 )
+from cosmetic.cli import main
 from cosmetic.engine import CrossCheckError
 
 
@@ -149,3 +150,25 @@ def test_verify_flags_non_excluding_census(tmp_path):
     assert not zhs_exterior_filter(census["M6"]).excluded
     with pytest.raises(CrossCheckError):
         verify_census_exclusions(census)
+
+
+def test_load_names_a_missing_fact_field(tmp_path, capsys):
+    data = _census_data()
+    (m1,) = [r for r in data["records"] if r["id"] == "M1"]
+    assert m1["homology_facts"][0]["kind"] == "cited_exclusion"
+    del m1["homology_facts"][0]["statement"]
+    path = _write(tmp_path, data)
+    message = "M1: homology fact 0 (cited_exclusion) has no 'statement' field"
+    with pytest.raises(ValueError) as info:
+        load_census(path)
+    assert str(info.value) == message
+    assert main(["replicate-theorem", "--census-file", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_load_rejects_unknown_fact_kind(tmp_path):
+    data = _census_data()
+    data["records"][4]["homology_facts"][0]["kind"] = "hearsay"
+    message = r"M5: homology fact 0 has unknown kind 'hearsay'"
+    with pytest.raises(ValueError, match=message):
+        load_census(_write(tmp_path, data))

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
+from cosmetic import engine, obstructions
 from cosmetic.engine import (
     EXCEPTIONAL_DISTANCE_BOUND,
     FILTER_ORDER,
@@ -202,3 +205,95 @@ def test_meridian_pairs_do_not_survive():
     forged = PairVerdict(1, 0, 1, (ObstructionVerdict("parity", True),), True)
     with pytest.raises(CrossCheckError):
         verify_pairs([forged])
+
+
+def test_verify_requires_the_selected_filters():
+    # p = 7, q = 1, q' = 2 fails only Dedekind; with that verdict dropped
+    # the trail reads as a survivor.
+    (pair,) = run_enumeration([7], [1, 2]).pairs
+    assert [v.passed for v in pair.verdicts] == [True, True, True, False]
+    dropped = replace(pair, verdicts=pair.verdicts[:3], surviving=True)
+    with pytest.raises(CrossCheckError, match="trail has filters"):
+        verify_pairs([dropped], filters="all")
+    assert verify_pairs([dropped]) == 1  # no filters given: any subset
+    reordered = replace(pair, verdicts=pair.verdicts[::-1])
+    with pytest.raises(CrossCheckError, match="trail has filters"):
+        verify_pairs([reordered])
+
+
+def test_verify_reports_a_missing_witness_key():
+    (pair,) = run_enumeration([7], [1, 2]).pairs
+    stripped = tuple(
+        ObstructionVerdict(v.filter_name, v.passed, {"reason": "no values"})
+        if v.filter_name == "dedekind" else v
+        for v in pair.verdicts
+    )
+    with pytest.raises(CrossCheckError, match="witness has no 's_q'"):
+        verify_pairs([replace(pair, verdicts=stripped)])
+
+
+def _corrupted(value):
+    if isinstance(value, list):
+        return value[1:]
+    if isinstance(value, str):
+        return "forged"
+    return value + 1000
+
+
+def _mutants(record):
+    """Each verdict flipped, dropped and with each checked witness field
+    corrupted, and the surviving flag flipped: every single-point
+    corruption of the record."""
+    def rebuild(verdicts):
+        return replace(record, verdicts=tuple(verdicts),
+                       surviving=all(v.passed for v in verdicts))
+
+    trail = list(record.verdicts)
+    for i, v in enumerate(trail):
+        witness = v.witness or {"reason": "forged"}
+        flipped = ObstructionVerdict(v.filter_name, not v.passed, witness)
+        yield rebuild(trail[:i] + [flipped] + trail[i + 1:])
+        yield rebuild(trail[:i] + trail[i + 1:])
+        keys = [key for key in v.witness or {} if key != "reason"]
+        if v.filter_name == "parity" and not v.passed:
+            keys = ["reason"]
+        for key in keys:
+            bad = dict(v.witness, **{key: _corrupted(v.witness[key])})
+            forged = ObstructionVerdict(v.filter_name, v.passed, bad)
+            yield rebuild(trail[:i] + [forged] + trail[i + 1:])
+    yield replace(record, surviving=not record.surviving)
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda: run_enumeration(range(1, 9), range(1, 25)),
+    lambda: run_enumeration([131], range(1, 31),
+                            filters=["congruence", "dedekind"]),
+], ids=["p1-8-all-filters", "p131-congruence-dedekind"])
+def test_verify_rejects_every_single_point_corruption(sweep):
+    result = sweep()
+    assert verify_pairs(result.pairs, filters=result.filters)
+    for record in result.pairs:
+        for mutant in _mutants(record):
+            with pytest.raises(CrossCheckError):
+                verify_pairs([mutant], filters=result.filters)
+
+
+def test_verify_memoizes_oracles_per_residue(monkeypatch):
+    calls = []
+
+    def counted(q, p):
+        calls.append((q % p, p))
+        return direct(q, p)
+
+    direct = engine.dedekind_sum_direct
+    monkeypatch.setattr(engine, "dedekind_sum_direct", counted)
+    obstructions._unit_squares.cache_clear()
+    result = run_enumeration([127, 131], range(1, 101),
+                             filters=["congruence", "dedekind"])
+    assert len(result.pairs) == 2 * 764
+    assert len(calls) == len(set(calls))
+    assert obstructions._unit_squares.cache_info().misses == 2
+    # The oracle pass never reads the engine's square-root table.
+    before = obstructions._unit_squares.cache_info()
+    verify_pairs(result.pairs, filters=result.filters)
+    assert obstructions._unit_squares.cache_info() == before

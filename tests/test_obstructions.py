@@ -100,6 +100,30 @@ def test_congruence_symmetric_with_inverse_witnesses():
                     assert (u * v) % p == 1 % p
 
 
+def test_congruence_witness_matches_the_unit_scan():
+    # The witness unit is pinned to the O(p) scan the square-root table
+    # replaced: the smallest unit u with q = q' u^2 (mod p), taken from
+    # the residue-ordered side and inverted when the sides swap.
+    def scan(p, q, q2):
+        for u in range(1, p):
+            if gcd(u, p) == 1 and (q - q2 * u * u) % p == 0:
+                return u
+        return None
+
+    for p in range(2, 61):
+        units = [x for x in range(1, p) if gcd(x, p) == 1]
+        for q in units:
+            for q2 in units:
+                if q <= q2:
+                    u = scan(p, q, q2)
+                else:
+                    v = scan(p, q2, q)
+                    u = None if v is None else pow(v, -1, p)
+                verdict = linking_congruence(p, q, q2)
+                assert verdict.passed == (u is not None)
+                assert verdict.witness.get("unit") == u
+
+
 def test_parity_examples():
     assert parity_filter(2, 1, 3).passed
     assert parity_filter(1, 3, 7).passed
