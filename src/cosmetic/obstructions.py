@@ -79,7 +79,8 @@ class ObstructionVerdict:
 @lru_cache(maxsize=32)
 def _unit_squares(p):
     # {u^2 mod p: the smallest unit u with that square}, by one O(p) scan,
-    # with the squares in ascending order.
+    # with the squares in ascending order.  Every caller shares the dict
+    # and only reads it.
     if p == 1:
         return {0: 0}
     roots = {}
