@@ -219,6 +219,11 @@ def test_verify_requires_the_selected_filters():
     reordered = replace(pair, verdicts=pair.verdicts[::-1])
     with pytest.raises(CrossCheckError, match="trail has filters"):
         verify_pairs([reordered])
+    # Families always carry all four filters.
+    family = classify_candidates(7)[0]
+    no_distance = replace(family, verdicts=family.verdicts[1:])
+    with pytest.raises(CrossCheckError, match="trail has filters"):
+        verify_families([no_distance])
 
 
 def test_verify_reports_a_missing_witness_key():
