@@ -95,7 +95,18 @@ class ExteriorVerdict:
             raise ValueError("an exclusion must state its reason")
 
 
-def _parse_filling(raw):
+_RECORD_FIELDS = ("id", "boundary_tori", "toroidal_pair_distance",
+                  "known_fillings", "homology_facts")
+
+
+def _require(raw, names, where):
+    for name in names:
+        if name not in raw:
+            raise ValueError(f"{where} has no {name!r} field")
+
+
+def _parse_filling(raw, where):
+    _require(raw, ("slope", "kind"), where)
     lens = tuple(raw["lens"]) if "lens" in raw else None
     return KnownFilling(
         slope=Slope.parse(raw["slope"]),
@@ -134,12 +145,8 @@ def _validate_record(record):
             raise ValueError(
                 f"{rid}: homology fact {index} has unknown kind {kind!r}"
             )
-        for name in _FACT_FIELDS[kind]:
-            if name not in fact:
-                raise ValueError(
-                    f"{rid}: homology fact {index} ({kind}) has no "
-                    f"{name!r} field"
-                )
+        _require(fact, _FACT_FIELDS[kind],
+                 f"{rid}: homology fact {index} ({kind})")
 
 
 def load_census(path=None):
@@ -159,12 +166,17 @@ def load_census(path=None):
             f"is not {CENSUS_SCHEMA_VERSION}"
         )
     census = {}
-    for raw in data["records"]:
+    for index, raw in enumerate(data["records"]):
+        _require(raw, _RECORD_FIELDS, f"census record {index}")
+        rid = raw["id"]
         record = CensusRecord(
-            id=raw["id"],
+            id=rid,
             boundary_tori=raw["boundary_tori"],
             toroidal_pair_distance=raw["toroidal_pair_distance"],
-            known_fillings=tuple(_parse_filling(f) for f in raw["known_fillings"]),
+            known_fillings=tuple(
+                _parse_filling(f, f"{rid}: known filling {i}")
+                for i, f in enumerate(raw["known_fillings"])
+            ),
             homology_facts=tuple(raw["homology_facts"]),
         )
         if record.id in census:

@@ -8,9 +8,10 @@ distance, parity, linking-congruence and Dedekind filters;
 `replicate_theorem` assembles the survivors for p = 1..8 into the
 case-by-case classification table; `enumerate_pairs` sweeps concrete
 (q, q') pairs in bulk, optionally across worker processes, with output
-independent of the job count.  A family is the pair at its smallest
-positive q, so families and concrete pairs share one record type,
-`PairVerdict`.
+independent of the job count.  A sweep runs the filters once per residue
+class in each task and refills per pair only the witness texts that name
+q.  A family is the pair at its smallest positive q, so families and
+concrete pairs share one record type, `PairVerdict`.
 
 Every verdict the engine produces can be re-derived from first
 principles: `verify_families` and `verify_pairs` recompute each filter
@@ -29,14 +30,16 @@ from dataclasses import dataclass
 from math import gcd
 
 from .dedekind import dedekind_sum_direct
-from .invariants import cosmetic_dedekind_obstruction
+from .invariants import cosmetic_dedekind_obstruction, dedekind_reason
 from .obstructions import (
     EXCEPTIONAL_DISTANCE_BOUND,
     GeometryClass,
     ObstructionVerdict,
+    congruence_reason,
     distance_cap,
     linking_congruence,
     parity_filter,
+    parity_reason,
 )
 from .slopes import format_rational
 
@@ -56,6 +59,11 @@ THEOREM_CASE_ORDER = (
     GeometryClass.TOROIDAL_IRREDUCIBLE_NON_SEIFERT,
     GeometryClass.FINITE_PI1,
 )
+
+# The abstract's last claim: toroidal truly cosmetic surgeries on integer
+# homology spheres are integer homology spheres, so these keep only p = 1.
+_TOROIDAL_CASES = (GeometryClass.SEIFERT_TOROIDAL,
+                   GeometryClass.TOROIDAL_IRREDUCIBLE_NON_SEIFERT)
 
 FINITE_PI1_NOTE = (
     "no surviving family: a truly cosmetic pair with a finite fundamental "
@@ -239,7 +247,8 @@ def replicate_theorem(verify=True):
     Seifert case leaves p = 1 (any gap up to 8), p = 2 with gaps 2 and 4
     on odd q, and p = 5 with gap 1 on q = 2 (mod 5); the toroidal
     irreducible case leaves p = 1 with gap at most 3; finite fundamental
-    group leaves nothing.  Deterministic, byte-for-byte.
+    group leaves nothing.  Deterministic, byte-for-byte.  The verify pass
+    also raises CrossCheckError if either toroidal case keeps a p > 1.
     """
     evaluated = tuple(
         f
@@ -256,19 +265,52 @@ def replicate_theorem(verify=True):
             continue
         cap = distance_cap(geometry)
         sections[geometry] = tuple(f for f in survivors if f.delta <= cap)
+        stray = [f.describe() for f in sections[geometry] if f.p != 1]
+        if verify and stray and geometry in _TOROIDAL_CASES:
+            raise CrossCheckError(f"{geometry.value} keeps {stray[0]}, but "
+                                  "toroidal truly cosmetic pairs have p = 1")
     notes = {GeometryClass.FINITE_PI1: FINITE_PI1_NOTE}
     return ClassificationTable(sections, notes, evaluated)
 
 
+def _renamed(verdict, p, q, q_prime):
+    # A class's failing parity, congruence or Dedekind verdict for
+    # another pair of the class: these reasons name q.
+    name, w = verdict.filter_name, verdict.witness
+    reason = (
+        parity_reason(p, q, q_prime) if name == "parity"
+        else congruence_reason(p, q, q_prime) if name == "congruence"
+        else dedekind_reason(p, q, q_prime, w["s_q"], w["s_q_prime"])
+    )
+    return ObstructionVerdict(name, False, {**w, "reason": reason})
+
+
 def _pair_chunk(task):
+    # One filter chain per residue class in this task; later pairs share
+    # its verdicts, read-only, with their own reason texts.  At p = 1 a
+    # pair holding q = 0 (the meridian) is a class of its own.
     p, q_block, q_members, filters, max_gap = task
+    classes = {}
     out = []
     for q in q_block:
         for gap in range(1, max_gap + 1):
             q_prime = q + gap
             if q_prime not in q_members:
                 continue
-            out.append(_evaluate(p, q, q_prime, filters))
+            key = (q % p, gap, 0 in (q, q_prime))
+            first = classes.get(key)
+            if first is None:
+                record = classes[key] = _evaluate(p, q, q_prime, filters)
+            else:
+                verdicts = first.verdicts
+                if not first.surviving:
+                    verdicts = tuple(
+                        v if v.passed or v.filter_name == "distance"
+                        else _renamed(v, p, q, q_prime)
+                        for v in verdicts
+                    )
+                record = PairVerdict(p, q, q_prime, verdicts, first.surviving)
+            out.append(record)
     return out
 
 
@@ -289,7 +331,9 @@ def enumerate_pairs(p_values, q_values, filters="all", max_gap=None, jobs=1):
     compute pure functions of their chunk.  `filters` is "all" or an
     iterable drawn from distance/congruence/dedekind; parity always runs,
     and when it fails the remaining filters are reported as skipped.
-    `jobs` is capped at the CPU count and at the number of chunks.
+    `jobs` is capped at the CPU count and at the number of chunks.  Each
+    chunk evaluates a residue class once and refills per pair only the
+    witness texts that name q.
     """
     ps = sorted({int(p) for p in p_values})
     qs = sorted({int(q) for q in q_values})

@@ -139,15 +139,15 @@ def cosmetic_dedekind_obstruction(p, q, q_prime):
     reduces the equality of Casson invariants to equality of the two
     Dedekind sums.  The witness records both values either way.
     """
-    s_q = dedekind_sum_fast(q, p)
-    s_q_prime = dedekind_sum_fast(q_prime, p)
-    witness = {
-        "s_q": format_rational(s_q),
-        "s_q_prime": format_rational(s_q_prime),
-    }
+    # Fractions print in lowest terms, so equal texts mean equal sums.
+    s_q = format_rational(dedekind_sum_fast(q, p))
+    s_q_prime = format_rational(dedekind_sum_fast(q_prime, p))
+    witness = {"s_q": s_q, "s_q_prime": s_q_prime}
     if s_q != s_q_prime:
-        witness["reason"] = (
-            f"s({q}, {p}) = {format_rational(s_q)} but "
-            f"s({q_prime}, {p}) = {format_rational(s_q_prime)}"
-        )
+        witness["reason"] = dedekind_reason(p, q, q_prime, s_q, s_q_prime)
     return ObstructionVerdict("dedekind", s_q == s_q_prime, witness)
+
+
+def dedekind_reason(p, q, q_prime, s_q, s_q_prime):
+    """The failing Dedekind witness text, from the two formatted sums."""
+    return f"s({q}, {p}) = {s_q} but s({q_prime}, {p}) = {s_q_prime}"

@@ -134,15 +134,28 @@ def linking_congruence(p, q, q_prime):
         v = _smallest_unit_witness(p, q_prime, q)
         u = None if v is None else pow(v, -1, p)
     if u is None:
-        return ObstructionVerdict(
-            "congruence",
-            False,
-            {
-                "reason": f"no unit square maps {q_prime} to {q} mod {p}",
-                "unit_squares": list(_unit_squares(p)),
-            },
-        )
+        witness = {"reason": congruence_reason(p, q, q_prime),
+                   "unit_squares": list(_unit_squares(p))}
+        return ObstructionVerdict("congruence", False, witness)
     return ObstructionVerdict("congruence", True, {"unit": u})
+
+
+def congruence_reason(p, q, q_prime):
+    """The failing linking congruence's witness text for this pair."""
+    return f"no unit square maps {q_prime} to {q} mod {p}"
+
+
+def parity_reason(p, q, q_prime):
+    """Why p/q, p/q' is not a slope pair, or None when it is one."""
+    parts = [
+        f"gcd({x}, {p}) = {gcd(x, p)}" for x in (q, q_prime) if gcd(x, p) != 1
+    ]
+    if parts:
+        return " and ".join(parts) + ", so not a slope pair"
+    if 0 in (q, q_prime):  # reached only for p = 1
+        return ("1/0 is the meridian, whose filling is the trivial surgery, "
+                "so not a cosmetic pair")
+    return None
 
 
 def parity_filter(p, q, q_prime):
@@ -156,16 +169,7 @@ def parity_filter(p, q, q_prime):
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
-    parts = [
-        f"gcd({x}, {p}) = {gcd(x, p)}" for x in (q, q_prime) if gcd(x, p) != 1
-    ]
-    if parts:
-        reason = " and ".join(parts) + ", so not a slope pair"
-    elif 0 in (q, q_prime):  # reached only for p = 1
-        reason = (
-            "1/0 is the meridian, whose filling is the trivial surgery, "
-            "so not a cosmetic pair"
-        )
-    else:
+    reason = parity_reason(p, q, q_prime)
+    if reason is None:
         return ObstructionVerdict("parity", True)
     return ObstructionVerdict("parity", False, {"reason": reason})

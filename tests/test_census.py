@@ -172,3 +172,21 @@ def test_load_rejects_unknown_fact_kind(tmp_path):
     message = r"M5: homology fact 0 has unknown kind 'hearsay'"
     with pytest.raises(ValueError, match=message):
         load_census(_write(tmp_path, data))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda data: data["records"][7]["known_fillings"][1].pop("slope"),
+     "M8: known filling 1 has no 'slope' field"),
+    (lambda data: data["records"][4].pop("id"),
+     "census record 4 has no 'id' field"),
+], ids=["filling-slope", "record-id"])
+def test_load_names_a_missing_record_or_filling_key(tmp_path, capsys, edit,
+                                                     message):
+    data = _census_data()
+    edit(data)
+    path = _write(tmp_path, data)
+    with pytest.raises(ValueError) as info:
+        load_census(path)
+    assert str(info.value) == message
+    assert main(["replicate-theorem", "--census-file", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

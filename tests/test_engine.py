@@ -3,6 +3,7 @@ from dataclasses import replace
 import pytest
 
 from cosmetic import engine, obstructions
+from cosmetic.cli import main
 from cosmetic.engine import (
     EXCEPTIONAL_DISTANCE_BOUND,
     FILTER_ORDER,
@@ -302,3 +303,68 @@ def test_verify_memoizes_oracles_per_residue(monkeypatch):
     before = obstructions._unit_squares.cache_info()
     verify_pairs(result.pairs, filters=result.filters)
     assert obstructions._unit_squares.cache_info() == before
+
+
+def _pairwise(ps, qs, filters):
+    # The sweep by definition: the whole filter chain on every pair.
+    chosen = engine._normalize_filters(filters)
+    members = set(qs)
+    return [
+        engine._evaluate(p, q, q + gap, chosen)
+        for p in sorted(set(ps)) for q in sorted(members)
+        for gap in range(1, EXCEPTIONAL_DISTANCE_BOUND + 1)
+        if q + gap in members
+    ]
+
+
+def _witness_keys(records):
+    return [[list(v.witness or ()) for v in r.verdicts] for r in records]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("filters", ["all", [], ["distance"],
+                                     ["congruence", "dedekind"]],
+                         ids=["all", "parity-only", "distance",
+                              "congruence-dedekind"])
+@pytest.mark.parametrize("ps, qs", [
+    (range(1, 13), range(-20, 41)),
+    (range(1, 13), [-9, -4, -1, 0, 1, 2, 3, 7, 11, 12, 30, 31, 38, 101]),
+    ([131], range(1, 301)),
+], ids=["window-through-zero", "sparse", "p131-window"])
+def test_class_table_matches_the_pairwise_chain(ps, qs, filters, jobs):
+    got = list(enumerate_pairs(ps, qs, filters, None, jobs))
+    want = _pairwise(ps, qs, filters)
+    assert got == want
+    assert _witness_keys(got) == _witness_keys(want)
+
+
+def test_sweep_evaluates_each_class_once_per_task(monkeypatch):
+    calls = []
+
+    def counted(p, q, q_prime, filters):
+        chunk = (q - 50000) // engine._CHUNK
+        calls.append((p, chunk, q % p, q_prime - q, 0 in (q, q_prime)))
+        return evaluate(p, q, q_prime, filters)
+
+    evaluate = engine._evaluate
+    monkeypatch.setattr(engine, "_evaluate", counted)
+    pairs = list(enumerate_pairs(range(1, 9), range(50000, 51200)))
+    assert len(pairs) == 8 * (1200 * 8 - 36)
+    assert len(calls) == len(set(calls))
+    tasks_per_p = -(-1200 // engine._CHUNK)
+    assert len(calls) <= tasks_per_p * sum(8 * p for p in range(1, 9))
+    assert len(calls) * 20 < len(pairs)
+
+
+def test_theorem_rejects_a_toroidal_family_beyond_p1(monkeypatch, capsys):
+    cap = engine.distance_cap
+    case4 = GeometryClass.TOROIDAL_IRREDUCIBLE_NON_SEIFERT
+    monkeypatch.setattr(engine, "distance_cap",
+                        lambda g: 4 if g is case4 else cap(g))
+    loose = replicate_theorem(verify=False)
+    assert (2, 1, 2) in _keys(loose.families_for(case4))
+    with pytest.raises(CrossCheckError, match="toroidal_irreducible_non_"
+                       r"seifert keeps p = 2, q = 1 \(mod 2\), q' = q \+ 2"):
+        replicate_theorem()
+    assert main(["replicate-theorem"]) == 2
+    assert "p = 2" in capsys.readouterr().err
