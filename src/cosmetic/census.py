@@ -100,9 +100,17 @@ _RECORD_FIELDS = ("id", "boundary_tori", "toroidal_pair_distance",
 
 
 def _require(raw, names, where):
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where} is not a JSON object")
     for name in names:
         if name not in raw:
             raise ValueError(f"{where} has no {name!r} field")
+
+
+def _list(raw, name, where):
+    if not isinstance(raw[name], list):
+        raise ValueError(f"{where}: {name!r} is not a JSON list")
+    return raw[name]
 
 
 def _parse_filling(raw, where):
@@ -160,13 +168,14 @@ def load_census(path=None):
         with open(path) as handle:
             text = handle.read()
     data = json.loads(text)
-    if data.get("schema_version") != CENSUS_SCHEMA_VERSION:
+    _require(data, ("schema_version", "records"), "census file")
+    if data["schema_version"] != CENSUS_SCHEMA_VERSION:
         raise ValueError(
-            f"census schema_version {data.get('schema_version')!r} "
+            f"census schema_version {data['schema_version']!r} "
             f"is not {CENSUS_SCHEMA_VERSION}"
         )
     census = {}
-    for index, raw in enumerate(data["records"]):
+    for index, raw in enumerate(_list(data, "records", "census file")):
         _require(raw, _RECORD_FIELDS, f"census record {index}")
         rid = raw["id"]
         record = CensusRecord(
@@ -175,9 +184,9 @@ def load_census(path=None):
             toroidal_pair_distance=raw["toroidal_pair_distance"],
             known_fillings=tuple(
                 _parse_filling(f, f"{rid}: known filling {i}")
-                for i, f in enumerate(raw["known_fillings"])
+                for i, f in enumerate(_list(raw, "known_fillings", rid))
             ),
-            homology_facts=tuple(raw["homology_facts"]),
+            homology_facts=tuple(_list(raw, "homology_facts", rid)),
         )
         if record.id in census:
             raise ValueError(f"duplicate census id {record.id!r}")

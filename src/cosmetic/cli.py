@@ -12,7 +12,7 @@ One subcommand per operation family:
     cosmetic census show M8
     cosmetic classify --p 7 --format json
     cosmetic replicate-theorem --format markdown
-    cosmetic enumerate --p 1..8 --q 1..1000 --filters all --jobs 4
+    cosmetic enumerate --p 1..8 --q 1..1000 --filters all
 
 Exit code 0 on success, 1 on bad input (usage errors and unreadable
 files included), 2 when an internal cross-check (oracle re-derivation or
@@ -289,7 +289,11 @@ def _build_parser():
              "distance,congruence,dedekind (parity always runs)",
     )
     p.add_argument("--max-gap", type=int, default=8)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help="at least 1; the sweep runs in one process and the output "
+             "never depends on it",
+    )
     _add_format(p, "csv")
     _add_no_verify(p)
     p.set_defaults(handler=cmd_enumerate)

@@ -7,10 +7,9 @@ families.  `classify_candidates` runs every family for one p through the
 distance, parity, linking-congruence and Dedekind filters;
 `replicate_theorem` assembles the survivors for p = 1..8 into the
 case-by-case classification table; `enumerate_pairs` sweeps concrete
-(q, q') pairs in bulk, optionally across worker processes, with output
-independent of the job count.  A sweep runs the filters once per residue
-class in each task and refills per pair only the witness texts that name
-q.  A family is the pair at its smallest positive q, so families and
+(q, q') pairs in bulk, in one process.  A sweep runs the filters once per
+residue class of each p and refills per pair only the witness texts that
+name q.  A family is the pair at its smallest positive q, so families and
 concrete pairs share one record type, `PairVerdict`.
 
 Every verdict the engine produces can be re-derived from first
@@ -24,8 +23,6 @@ reciprocity cache.  The CLI turns a disagreement into exit code 2.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import gcd
 
@@ -47,8 +44,6 @@ from .slopes import format_rational
 # always runs; the other three can be switched off in bulk sweeps.
 FILTER_ORDER = ("distance", "parity", "congruence", "dedekind")
 SELECTABLE_FILTERS = ("distance", "congruence", "dedekind")
-
-_CHUNK = 128
 
 # The four numbered cases of the classification, in statement order,
 # followed by the finite-fundamental-group case that ends up empty.
@@ -285,55 +280,17 @@ def _renamed(verdict, p, q, q_prime):
     return ObstructionVerdict(name, False, {**w, "reason": reason})
 
 
-def _pair_chunk(task):
-    # One filter chain per residue class in this task; later pairs share
-    # its verdicts, read-only, with their own reason texts.  At p = 1 a
-    # pair holding q = 0 (the meridian) is a class of its own.
-    p, q_block, q_members, filters, max_gap = task
-    classes = {}
-    out = []
-    for q in q_block:
-        for gap in range(1, max_gap + 1):
-            q_prime = q + gap
-            if q_prime not in q_members:
-                continue
-            key = (q % p, gap, 0 in (q, q_prime))
-            first = classes.get(key)
-            if first is None:
-                record = classes[key] = _evaluate(p, q, q_prime, filters)
-            else:
-                verdicts = first.verdicts
-                if not first.surviving:
-                    verdicts = tuple(
-                        v if v.passed or v.filter_name == "distance"
-                        else _renamed(v, p, q, q_prime)
-                        for v in verdicts
-                    )
-                record = PairVerdict(p, q, q_prime, verdicts, first.surviving)
-            out.append(record)
-    return out
-
-
-def _pool_size(jobs, tasks, cpus=None):
-    """Worker count for a sweep: min(jobs, CPUs, tasks), at least 1."""
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
-    if cpus is None:
-        cpus = os.cpu_count() or 1
-    return max(1, min(jobs, cpus, tasks))
-
-
 def enumerate_pairs(p_values, q_values, filters="all", max_gap=None, jobs=1):
     """Stream verdicts for every pair (p/q, p/q') with q < q' <= q + max_gap.
 
     Both q and q' are drawn from q_values.  Output order is lexicographic
-    in (p, q, gap) and identical whatever `jobs` is; workers only ever
-    compute pure functions of their chunk.  `filters` is "all" or an
-    iterable drawn from distance/congruence/dedekind; parity always runs,
-    and when it fails the remaining filters are reported as skipped.
-    `jobs` is capped at the CPU count and at the number of chunks.  Each
-    chunk evaluates a residue class once and refills per pair only the
-    witness texts that name q.
+    in (p, q, gap).  `filters` is "all" or an iterable drawn from
+    distance/congruence/dedekind; parity always runs, and when it fails
+    the remaining filters are reported as skipped.  The sweep runs in
+    this process: `jobs` must be at least 1 and never changes the output.
+    For each p the filter chain runs once per residue class; later pairs
+    of the class share its verdicts, read-only, and get their own copies
+    of the witness texts that name q.
     """
     ps = sorted({int(p) for p in p_values})
     qs = sorted({int(q) for q in q_values})
@@ -344,20 +301,31 @@ def enumerate_pairs(p_values, q_values, filters="all", max_gap=None, jobs=1):
     if max_gap < 1:
         raise ValueError("max_gap must be at least 1")
     chosen = _normalize_filters(filters)
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     members = frozenset(qs)
-    tasks = [
-        (p, tuple(qs[i : i + _CHUNK]), members, chosen, max_gap)
-        for p in ps
-        for i in range(0, len(qs), _CHUNK)
-    ]
-    workers = _pool_size(jobs, len(tasks))
-    if workers == 1:
-        for task in tasks:
-            yield from _pair_chunk(task)
-        return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for chunk in pool.map(_pair_chunk, tasks):
-            yield from chunk
+    for p in ps:
+        # At p = 1 a pair holding q = 0 (the meridian) is a class of its
+        # own.
+        classes = {}
+        for q in qs:
+            for gap in range(1, max_gap + 1):
+                q_prime = q + gap
+                if q_prime not in members:
+                    continue
+                key = (q % p, gap, 0 in (q, q_prime))
+                first = classes.get(key)
+                if first is None:
+                    first = classes[key] = _evaluate(p, q, q_prime, chosen)
+                    yield first
+                elif first.surviving:
+                    yield PairVerdict(p, q, q_prime, first.verdicts, True)
+                else:
+                    yield PairVerdict(p, q, q_prime, tuple(
+                        v if v.passed or v.filter_name == "distance"
+                        else _renamed(v, p, q, q_prime)
+                        for v in first.verdicts
+                    ), False)
 
 
 def run_enumeration(p_values, q_values, filters="all", max_gap=None,

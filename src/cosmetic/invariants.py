@@ -94,7 +94,11 @@ class AlexanderPolynomial:
     @classmethod
     def from_json(cls, text):
         """Read the JSON map form, e.g. '{"-1": 1, "0": -3, "1": 1}'."""
-        return cls.from_coefficients(json.loads(text))
+        mapping = json.loads(text)
+        if not isinstance(mapping, dict):
+            raise ValueError("Alexander polynomial must be a JSON object "
+                             "mapping exponents to coefficients")
+        return cls.from_coefficients(mapping)
 
     def as_dict(self):
         return {k: a for k, a in self.coefficients}

@@ -190,3 +190,21 @@ def test_load_names_a_missing_record_or_filling_key(tmp_path, capsys, edit,
     assert str(info.value) == message
     assert main(["replicate-theorem", "--census-file", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("data, message", [
+    ([], "census file is not a JSON object"),
+    ({"schema_version": 1}, "census file has no 'records' field"),
+    ({"schema_version": 1, "records": [1]},
+     "census record 0 is not a JSON object"),
+    ({"schema_version": 1, "records": {}},
+     "census file: 'records' is not a JSON list"),
+], ids=["top-level-list", "no-records", "record-not-object",
+        "records-not-list"])
+def test_load_checks_the_top_level_shape(tmp_path, capsys, data, message):
+    path = _write(tmp_path, data)
+    with pytest.raises(ValueError) as info:
+        load_census(path)
+    assert str(info.value) == message
+    assert main(["replicate-theorem", "--census-file", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -23,6 +23,17 @@ def test_main_is_importable_entry_point():
     assert main(["dedekind", "5", "7"]) == 0
 
 
+def test_cli_import_loads_no_process_pool():
+    # Sweeps run in one process, so start-up pays for no pool modules.
+    code = (
+        "import sys, cosmetic.cli; print(sorted(m for m in sys.modules if "
+        "m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == "[]\n"
+
+
 def test_dedekind_command():
     assert run_cli("dedekind", "5", "7").stdout.strip() == "-1/14"
     assert run_cli("dedekind", "6", "7").stdout.strip() == "-5/14"
@@ -87,6 +98,10 @@ def test_bad_input_exits_one():
     assert proc.stderr.startswith("error:")
     proc = run_cli("census", "show", "M99", expect=1)
     assert "M99" in proc.stderr
+    for text in ("[1,2]", "5"):
+        proc = run_cli("casson", "delta2", text, expect=1)
+        assert proc.stderr == ("error: Alexander polynomial must be a JSON "
+                               "object mapping exponents to coefficients\n")
 
 
 def test_broken_census_exits_two(tmp_path):

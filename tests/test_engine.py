@@ -17,7 +17,6 @@ from cosmetic.engine import (
     surviving_families,
     verify_families,
     verify_pairs,
-    _pool_size,
 )
 from cosmetic.obstructions import GeometryClass, ObstructionVerdict
 from cosmetic.report import emit_report
@@ -184,15 +183,11 @@ def test_run_classification_verifies_by_default():
     assert len(result.families) == 6
 
 
-def test_pool_size_is_clamped_to_cpus_and_tasks():
-    assert _pool_size(1, 100, cpus=8) == 1
-    assert _pool_size(4, 100, cpus=8) == 4
-    assert _pool_size(64, 100, cpus=8) == 8
-    assert _pool_size(64, 3, cpus=8) == 3
-    assert _pool_size(4, 0, cpus=8) == 1
+def test_sweep_rejects_jobs_below_one():
     for jobs in (0, -2):
+        sweep = enumerate_pairs([1], range(1, 10), "all", None, jobs)
         with pytest.raises(ValueError, match="jobs must be at least 1"):
-            _pool_size(jobs, 10, cpus=8)
+            list(sweep)
 
 
 def test_meridian_pairs_do_not_survive():
@@ -338,12 +333,11 @@ def test_class_table_matches_the_pairwise_chain(ps, qs, filters, jobs):
     assert _witness_keys(got) == _witness_keys(want)
 
 
-def test_sweep_evaluates_each_class_once_per_task(monkeypatch):
+def test_sweep_evaluates_each_class_once_per_sweep(monkeypatch):
     calls = []
 
     def counted(p, q, q_prime, filters):
-        chunk = (q - 50000) // engine._CHUNK
-        calls.append((p, chunk, q % p, q_prime - q, 0 in (q, q_prime)))
+        calls.append((p, q % p, q_prime - q, 0 in (q, q_prime)))
         return evaluate(p, q, q_prime, filters)
 
     evaluate = engine._evaluate
@@ -351,9 +345,7 @@ def test_sweep_evaluates_each_class_once_per_task(monkeypatch):
     pairs = list(enumerate_pairs(range(1, 9), range(50000, 51200)))
     assert len(pairs) == 8 * (1200 * 8 - 36)
     assert len(calls) == len(set(calls))
-    tasks_per_p = -(-1200 // engine._CHUNK)
-    assert len(calls) <= tasks_per_p * sum(8 * p for p in range(1, 9))
-    assert len(calls) * 20 < len(pairs)
+    assert len(calls) <= sum(8 * p for p in range(1, 9)) == 288
 
 
 def test_theorem_rejects_a_toroidal_family_beyond_p1(monkeypatch, capsys):
