@@ -35,6 +35,7 @@ from .engine import (
     replicate_theorem,
     run_classification,
     run_enumeration,
+    stream_enumeration,
     surviving_families,
     verify_families,
     verify_pairs,
@@ -63,7 +64,7 @@ from .obstructions import (
     parity_filter,
     unit_squares_mod,
 )
-from .report import emit_report
+from .report import emit_report, write_report
 from .slopes import (
     Slope,
     canonicalize_slope,

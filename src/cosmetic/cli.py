@@ -16,7 +16,7 @@ One subcommand per operation family:
 
 Exit code 0 on success, 1 on bad input (usage errors and unreadable
 files included), 2 when an internal cross-check (oracle re-derivation or
-census exclusion) fails.
+census exclusion) fails; a streamed `enumerate` report then stops short.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .engine import (
     CrossCheckError,
     replicate_theorem,
     run_classification,
-    run_enumeration,
+    stream_enumeration,
 )
 from .homology import (
     LinkSurgeryData,
@@ -51,7 +51,7 @@ from .invariants import (
     casson_surgery,
 )
 from .obstructions import linking_congruence
-from .report import FORMATS, emit_report
+from .report import FORMATS, emit_report, write_report
 from .slopes import Slope, format_rational, parse_rational
 
 
@@ -156,7 +156,7 @@ def cmd_replicate(args):
 
 def cmd_enumerate(args):
     filters = "all" if args.filters == "all" else args.filters.split(",")
-    result = run_enumeration(
+    result = stream_enumeration(
         parse_range(args.p),
         parse_range(args.q),
         filters=filters,
@@ -166,7 +166,7 @@ def cmd_enumerate(args):
     )
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    print(emit_report(result, args.format), end="")
+    write_report(result, args.format, sys.stdout)
     return 0
 
 

@@ -23,7 +23,7 @@ reciprocity cache.  The CLI turns a disagreement into exit code 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
 
 from .dedekind import dedekind_sum_direct
@@ -147,7 +147,7 @@ class ClassifyResult:
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    """A materialized pair sweep with the settings that produced it."""
+    """A pair sweep and its settings; `pairs` may be a one-shot generator."""
 
     pairs: tuple
     filters: tuple
@@ -280,6 +280,21 @@ def _renamed(verdict, p, q, q_prime):
     return ObstructionVerdict(name, False, {**w, "reason": reason})
 
 
+def _sweep_settings(p_values, q_values, filters, max_gap, jobs):
+    ps = sorted({int(p) for p in p_values})
+    qs = sorted({int(q) for q in q_values})
+    if ps and ps[0] < 1:
+        raise ValueError("p must be a positive integer")
+    if max_gap is None:
+        max_gap = EXCEPTIONAL_DISTANCE_BOUND
+    if max_gap < 1:
+        raise ValueError("max_gap must be at least 1")
+    chosen = _normalize_filters(filters)
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    return ps, qs, chosen, max_gap
+
+
 def enumerate_pairs(p_values, q_values, filters="all", max_gap=None, jobs=1):
     """Stream verdicts for every pair (p/q, p/q') with q < q' <= q + max_gap.
 
@@ -292,21 +307,12 @@ def enumerate_pairs(p_values, q_values, filters="all", max_gap=None, jobs=1):
     of the class share its verdicts, read-only, and get their own copies
     of the witness texts that name q.
     """
-    ps = sorted({int(p) for p in p_values})
-    qs = sorted({int(q) for q in q_values})
-    if ps and ps[0] < 1:
-        raise ValueError("p must be a positive integer")
-    if max_gap is None:
-        max_gap = EXCEPTIONAL_DISTANCE_BOUND
-    if max_gap < 1:
-        raise ValueError("max_gap must be at least 1")
-    chosen = _normalize_filters(filters)
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
+    ps, qs, chosen, max_gap = _sweep_settings(p_values, q_values, filters,
+                                              max_gap, jobs)
     members = frozenset(qs)
     for p in ps:
         # At p = 1 a pair holding q = 0 (the meridian) is a class of its
-        # own.
+        # own.  A class keeps its first record and which reasons name q.
         classes = {}
         for q in qs:
             for gap in range(1, max_gap + 1):
@@ -314,65 +320,81 @@ def enumerate_pairs(p_values, q_values, filters="all", max_gap=None, jobs=1):
                 if q_prime not in members:
                     continue
                 key = (q % p, gap, 0 in (q, q_prime))
-                first = classes.get(key)
-                if first is None:
-                    first = classes[key] = _evaluate(p, q, q_prime, chosen)
+                entry = classes.get(key)
+                if entry is None:
+                    first = _evaluate(p, q, q_prime, chosen)
+                    classes[key] = first, [
+                        i for i, v in enumerate(first.verdicts)
+                        if not (v.passed or v.filter_name == "distance")
+                    ]
                     yield first
-                elif first.surviving:
-                    yield PairVerdict(p, q, q_prime, first.verdicts, True)
-                else:
-                    yield PairVerdict(p, q, q_prime, tuple(
-                        v if v.passed or v.filter_name == "distance"
-                        else _renamed(v, p, q, q_prime)
-                        for v in first.verdicts
-                    ), False)
+                    continue
+                first, renamed = entry
+                verdicts = list(first.verdicts)
+                for i in renamed:
+                    verdicts[i] = _renamed(verdicts[i], p, q, q_prime)
+                yield PairVerdict(p, q, q_prime, tuple(verdicts),
+                                  first.surviving)
+
+
+def _distance_warnings(ps, qs, chosen, max_gap):
+    # Without the distance filter, warn if the sweep holds a pair with
+    # p * gap > 8; the largest p needs the smallest such gap.
+    members = frozenset(qs)
+    lowest = EXCEPTIONAL_DISTANCE_BOUND // ps[-1] + 1 if ps else max_gap + 1
+    if "distance" in chosen or not any(
+        q + gap in members for gap in range(lowest, max_gap + 1) for q in qs
+    ):
+        return ()
+    return ("pairs at slope distance beyond 8 were evaluated; they cannot "
+            "be truly cosmetic (exceptional distance bound)",)
+
+
+def stream_enumeration(p_values, q_values, filters="all", max_gap=None,
+                       jobs=1, verify=True):
+    """run_enumeration without holding the sweep; CLI backend.  Settings
+    and warnings are decided up front; `pairs` yields each record once the
+    oracle has checked it, and raises CrossCheckError on a disagreement."""
+    ps, qs, chosen, max_gap = _sweep_settings(p_values, q_values, filters,
+                                              max_gap, jobs)
+    pairs = enumerate_pairs(ps, qs, chosen, max_gap, jobs)
+    if verify:
+        pairs = _verified(pairs, "pair", chosen)
+    return EnumerationResult(pairs, chosen, max_gap,
+                             _distance_warnings(ps, qs, chosen, max_gap))
 
 
 def run_enumeration(p_values, q_values, filters="all", max_gap=None,
                     jobs=1, verify=True):
-    """Materialize an enumerate_pairs sweep with its settings; CLI backend."""
-    chosen = _normalize_filters(filters)
-    if max_gap is None:
-        max_gap = EXCEPTIONAL_DISTANCE_BOUND
-    pairs = tuple(
-        enumerate_pairs(p_values, q_values, chosen, max_gap, jobs)
-    )
-    if verify:
-        verify_pairs(pairs, filters=chosen)
-    warnings = ()
-    if "distance" not in chosen and any(
-        pv.delta > EXCEPTIONAL_DISTANCE_BOUND for pv in pairs
-    ):
-        warnings = (
-            "pairs at slope distance beyond 8 were evaluated; they cannot "
-            "be truly cosmetic (exceptional distance bound)",
-        )
-    return EnumerationResult(pairs, chosen, max_gap, warnings)
+    """Materialize a verified enumerate_pairs sweep with its settings."""
+    result = stream_enumeration(p_values, q_values, filters, max_gap, jobs,
+                                verify)
+    return replace(result, pairs=tuple(result.pairs))
 
 
-def _expect(verdict, passed, where):
+def _expect(verdict, passed):
     if verdict.passed != passed:
         raise CrossCheckError(
-            f"{where}: {verdict.filter_name} verdict says "
+            f"{verdict.filter_name} verdict says "
             f"{'pass' if verdict.passed else 'fail'} but the oracle says "
             f"{'pass' if passed else 'fail'}"
         )
 
 
-def _field(verdict, key, where):
+def _field(verdict, key):
     try:
         return verdict.witness[key]
     except (KeyError, TypeError):
         raise CrossCheckError(
-            f"{where}: {verdict.filter_name} witness has no {key!r}"
+            f"{verdict.filter_name} witness has no {key!r}"
         ) from None
 
 
-def _expect_field(verdict, key, value, where):
-    got = _field(verdict, key, where)
+def _expect_field(verdict, key, value):
+    got = _field(verdict, key)
     if got != value:
         raise CrossCheckError(
-            f"{where}: {verdict.filter_name} witness {key} is {got!r} but "
+            f"{verdict.filter_name} witness {key} is {got!r} but "
             f"the oracle gives {value!r}"
         )
 
@@ -412,29 +434,33 @@ def _unit_square_list(memo, p):
     return squares
 
 
-def _verify_one(record, where, filters, memo):
+def _trail_shape(chosen, coprime):
+    # The selected filters plus parity, in FILTER_ORDER; congruence and
+    # Dedekind are undefined, so absent, after a parity failure.
+    return [name for name in FILTER_ORDER[:4 if coprime else 2]
+            if name in chosen or name == "parity"]
+
+
+def _verify_one(record, shapes, memo):
     p, q, q_prime = record.p, record.q, record.q_prime
     # Both p/q and p/q' primitive, and neither the meridian 1/0.
     coprime = 0 not in (q, q_prime) and (
         gcd(q, p) == 1 and gcd(q_prime, p) == 1
     )
-    # The selected filters plus parity, in FILTER_ORDER; congruence and
-    # Dedekind are undefined, so absent, after a parity failure.
     names = [v.filter_name for v in record.verdicts]
-    chosen = set(names if filters is None else filters) | {"parity"}
-    allowed = FILTER_ORDER if coprime else FILTER_ORDER[:2]
-    expected_names = [name for name in allowed if name in chosen]
+    expected_names = (_trail_shape(names, coprime) if shapes is None
+                      else shapes[coprime])
     if names != expected_names:
         raise CrossCheckError(
-            f"{where}: trail has filters {names}, expected {expected_names}"
+            f"trail has filters {names}, expected {expected_names}"
         )
     for v in record.verdicts:
         if v.filter_name == "distance":
             delta = p * (q_prime - q)
-            _expect(v, delta <= EXCEPTIONAL_DISTANCE_BOUND, where)
-            _expect_field(v, "delta", delta, where)
+            _expect(v, delta <= EXCEPTIONAL_DISTANCE_BOUND)
+            _expect_field(v, "delta", delta)
         elif v.filter_name == "parity":
-            _expect(v, coprime, where)
+            _expect(v, coprime)
             if coprime:
                 continue
             # The reason must name what fails: each gcd, or the meridian.
@@ -442,60 +468,61 @@ def _verify_one(record, where, filters, memo):
                 f"gcd({x}, {p}) = {gcd(x, p)}"
                 for x in (q, q_prime) if gcd(x, p) != 1
             ] or ["meridian"]
-            reason = _field(v, "reason", where)
+            reason = _field(v, "reason")
             if not all(cause in reason for cause in causes):
-                raise CrossCheckError(
-                    f"{where}: parity witness {reason!r} does not name "
-                    f"{' and '.join(causes)}"
-                )
+                raise CrossCheckError(f"parity witness {reason!r} does not "
+                                      f"name {' and '.join(causes)}")
         elif v.filter_name == "congruence":
             passed = p == 1 or bool(_unit_images(memo, q_prime, p)[q % p])
-            _expect(v, passed, where)
+            _expect(v, passed)
             if not passed:
-                _expect_field(v, "unit_squares", _unit_square_list(memo, p),
-                              where)
+                _expect_field(v, "unit_squares", _unit_square_list(memo, p))
                 continue
-            u = _field(v, "unit", where)
+            u = _field(v, "unit")
             good = (u == 0) if p == 1 else (
                 1 <= u < p
                 and gcd(u, p) == 1
                 and (q - q_prime * u * u) % p == 0
             )
             if not good:
-                raise CrossCheckError(
-                    f"{where}: recorded congruence unit {u} does not "
-                    f"satisfy q = q' u^2 (mod {p})"
-                )
+                raise CrossCheckError(f"recorded congruence unit {u} does "
+                                      f"not satisfy q = q' u^2 (mod {p})")
         else:
             s_q = _direct_sum_text(memo, q, p)
             s_q_prime = _direct_sum_text(memo, q_prime, p)
-            _expect(v, s_q == s_q_prime, where)
-            _expect_field(v, "s_q", s_q, where)
-            _expect_field(v, "s_q_prime", s_q_prime, where)
+            _expect(v, s_q == s_q_prime)
+            _expect_field(v, "s_q", s_q)
+            _expect_field(v, "s_q_prime", s_q_prime)
     if record.surviving != all(v.passed for v in record.verdicts):
-        raise CrossCheckError(
-            f"{where}: surviving flag is inconsistent with the trail"
-        )
+        raise CrossCheckError("surviving flag is inconsistent with the trail")
 
 
-def _verify(records, kind, filters):
+def _verified(records, kind, filters):
+    # Yields each record once the oracles agree with it; without `filters`
+    # a trail's shape comes from its own filter names.  Mismatches get
+    # their location here, so its text is built only on failure.
+    shapes = None if filters is None else {
+        coprime: _trail_shape(filters, coprime) for coprime in (False, True)
+    }
     memo, memo_p = {}, None
-    count = 0
     for record in records:
         if record.p != memo_p:
             memo.clear()
             memo_p = record.p
-        where = f"{kind} p={record.p} q={record.q} q'={record.q_prime}"
-        _verify_one(record, where, filters, memo)
-        if kind == "family" and record.surviving and (
-            record.delta > EXCEPTIONAL_DISTANCE_BOUND
-        ):
+        try:
+            _verify_one(record, shapes, memo)
+            if kind == "family" and record.surviving and (
+                record.delta > EXCEPTIONAL_DISTANCE_BOUND
+            ):
+                raise CrossCheckError(
+                    f"survives at slope distance {record.delta} > "
+                    f"{EXCEPTIONAL_DISTANCE_BOUND}"
+                )
+        except CrossCheckError as exc:
             raise CrossCheckError(
-                f"{where}: survives at slope distance {record.delta} > "
-                f"{EXCEPTIONAL_DISTANCE_BOUND}"
-            )
-        count += 1
-    return count
+                f"{kind} p={record.p} q={record.q} q'={record.q_prime}: {exc}"
+            ) from None
+        yield record
 
 
 def verify_pairs(pairs, *, filters=None):
@@ -515,10 +542,10 @@ def verify_pairs(pairs, *, filters=None):
     """
     if filters is not None:
         filters = _normalize_filters(filters)
-    return _verify(pairs, "pair", filters)
+    return sum(1 for _ in _verified(pairs, "pair", filters))
 
 
 def verify_families(families):
     """verify_pairs for residue families, which carry all four filters
     and also may not survive beyond the exceptional distance bound."""
-    return _verify(families, "family", SELECTABLE_FILTERS)
+    return sum(1 for _ in _verified(families, "family", SELECTABLE_FILTERS))

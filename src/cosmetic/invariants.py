@@ -22,6 +22,7 @@ obstruction is the clean equality s(q, p) = s(q', p).  That is
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -29,6 +30,9 @@ from math import gcd
 from .dedekind import dedekind_sum_fast
 from .obstructions import ObstructionVerdict
 from .slopes import format_rational
+
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -70,8 +74,12 @@ class AlexanderPolynomial:
     def __post_init__(self):
         terms = {}
         for k, a in self.coefficients:
+            for value, what in ((k, "exponent"), (a, "coefficient")):
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise ValueError(f"Alexander polynomial {what} must be "
+                                     f"an integer, not {value!r}")
             if a != 0:
-                terms[int(k)] = terms.get(int(k), 0) + int(a)
+                terms[k] = terms.get(k, 0) + a
         for k, a in terms.items():
             if terms.get(-k, 0) != a:
                 raise ValueError(
@@ -88,8 +96,12 @@ class AlexanderPolynomial:
 
     @classmethod
     def from_coefficients(cls, mapping):
-        """Build from a mapping exponent -> coefficient (keys may be strings)."""
-        return cls(tuple((int(k), int(a)) for k, a in mapping.items()))
+        """Build from a mapping exponent -> coefficient.  Exponents may be
+        strings of integers, as JSON keys are; nothing else is converted."""
+        return cls(tuple(
+            (int(k) if isinstance(k, str) and _INTEGER.fullmatch(k) else k, a)
+            for k, a in mapping.items()
+        ))
 
     @classmethod
     def from_json(cls, text):

@@ -4,15 +4,18 @@ All three formats are deterministic: fixed field order, sorted inputs,
 "\n" line endings.  JSON reports carry a top-level schema_version so
 downstream consumers can detect layout changes.
 
-Each result kind lays out its rows in one function; rows stay generators
-until the shared CSV writer consumes them, so a sweep is never held twice.
+Each result kind lays out its rows in one function that writes them to
+a text stream in chunks as they are made, so a streamed sweep is never
+held whole; emit_report collects the same bytes in a string.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import json
+from collections import Counter
+from itertools import chain, islice
+from operator import attrgetter
 
 from .engine import (
     ClassificationTable,
@@ -28,6 +31,7 @@ REPORT_SCHEMA_VERSION = 1
 FORMATS = ("json", "csv", "markdown")
 
 _VERDICT_COLUMNS = list(FILTER_ORDER) + ["surviving", "detail"]
+_PATTERN = attrgetter("filter_name", "passed")  # what a row's cells read
 
 _CASE_TITLES = {
     GeometryClass.REDUCIBLE: "reducible filling",
@@ -72,52 +76,69 @@ def _detail(verdicts):
     return "; ".join(notes)
 
 
-def _cells(record, selected=FILTER_ORDER):
-    # One cell per canonical filter, then surviving and detail.  A filter
-    # cell is pass/fail, "skipped" for a filter not run because parity
-    # failed, and "" for a filter switched off entirely.
-    by_name = {v.filter_name: v for v in record.verdicts}
-    skipped = "parity" in by_name and not by_name["parity"].passed
-    cells = []
-    for name in FILTER_ORDER:
-        if name in by_name:
-            cells.append("pass" if by_name[name].passed else "fail")
-        elif name in selected and skipped:
-            cells.append("skipped")
-        else:
-            cells.append("")
-    surviving = "yes" if record.surviving else "no"
-    return cells + [surviving, _detail(record.verdicts)]
+def _cells(records, selected, tally):
+    # (record, its filter and surviving cells), counting records by their
+    # surviving flag in `tally`.  A filter cell is pass/fail, "skipped"
+    # after a parity failure, or "" if switched off.  Cells read only the
+    # filter names, pass/fail pattern and flag: one build per pattern.
+    table = {}
+    for record in records:
+        key = (record.surviving, *map(_PATTERN, record.verdicts))
+        cells = table.get(key)
+        if cells is None:
+            by_name = {v.filter_name: v for v in record.verdicts}
+            skipped = "parity" in by_name and not by_name["parity"].passed
+            cells = table[key] = [
+                ("pass" if by_name[name].passed else "fail")
+                if name in by_name
+                else "skipped" if name in selected and skipped else ""
+                for name in FILTER_ORDER
+            ] + ["yes" if record.surviving else "no"]
+        tally[record.surviving] += 1
+        yield record, cells
 
 
-def _json(kind, **fields):
+def _chunks(items):
+    # Lists of up to 4096 items: one write per chunk, not per row.
+    items = iter(items)
+    while chunk := list(islice(items, 4096)):
+        yield chunk
+
+
+def _json(out, kind, **fields):
     payload = {"schema_version": REPORT_SCHEMA_VERSION, "kind": kind, **fields}
-    return json.dumps(payload, indent=2) + "\n"
+    out.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _csv(header, rows):
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+def _csv_cell(cell):
+    # csv's minimal quoting for "\n" line ends, as csv.writer does it.
+    text = str(cell)
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def _markdown(lines, footer):
-    return "\n".join([*lines, "", footer, ""])
+def _csv(out, header, rows):
+    _lines(out, (",".join(map(_csv_cell, row))
+                 for row in chain([header], rows)))
+
+
+def _lines(out, lines):
+    for chunk in _chunks(lines):
+        out.write("\n".join(chunk) + "\n")
 
 
 def _markdown_row(cells):
     return "| " + " | ".join(str(cell) for cell in cells) + " |"
 
 
-def _markdown_table(preamble, header, rows, footer):
-    lines = [*preamble, _markdown_row(header), "|" + " --- |" * len(header)]
-    lines.extend(_markdown_row(row) for row in rows)
-    return _markdown(lines, footer)
+def _markdown_table(preamble, header, rows):
+    rule = "|" + " --- |" * len(header)
+    return chain(preamble, [_markdown_row(header), rule],
+                 map(_markdown_row, rows))
 
 
-def _theorem_report(table, fmt):
+def _theorem_report(table, fmt, out):
     if fmt == "json":
         cases = [
             {
@@ -129,10 +150,10 @@ def _theorem_report(table, fmt):
             for geometry, families in table.sections.items()
         ]
         evaluated = [_record_dict(f, True) for f in table.evaluated]
-        return _json("theorem_table", cases=cases, evaluated=evaluated)
+        return _json(out, "theorem_table", cases=cases, evaluated=evaluated)
     if fmt == "csv":
         return _csv(
-            ["geometry", "p", "q_residue", "gap", "delta", "detail"],
+            out, ["geometry", "p", "q_residue", "gap", "delta", "detail"],
             (
                 [geometry.value, f.p, _residue(f), f.gap, f.delta,
                  _detail(f.verdicts)]
@@ -162,77 +183,89 @@ def _theorem_report(table, fmt):
             note = table.note_for(geometry)
             lines.append(f"- {note}" if note else "- no surviving family")
     obstructed = sum(1 for f in table.evaluated if not f.surviving)
-    return _markdown(
-        lines,
-        f"{len(table.evaluated)} residue families evaluated in total; "
-        f"{obstructed} obstructed.",
-    )
+    _lines(out, [*lines, "", f"{len(table.evaluated)} residue families "
+                 f"evaluated in total; {obstructed} obstructed."])
 
 
-def _classify_report(result, fmt):
+def _classify_report(result, fmt, out):
     if fmt == "json":
         return _json(
-            "classification",
+            out, "classification",
             p=result.p,
             families=[_record_dict(f, True) for f in result.families],
             surviving=[_record_dict(f, True) for f in result.surviving],
         )
+    tally = Counter()
+    families = _cells(result.families, FILTER_ORDER, tally)
     if fmt == "csv":
         return _csv(
-            ["p", "q_residue", "gap", "delta"] + _VERDICT_COLUMNS,
-            ([f.p, _residue(f), f.gap, f.delta] + _cells(f)
-             for f in result.families),
+            out, ["p", "q_residue", "gap", "delta"] + _VERDICT_COLUMNS,
+            ([f.p, _residue(f), f.gap, f.delta, *cells, _detail(f.verdicts)]
+             for f, cells in families),
         )
-    return _markdown_table(
+    _lines(out, _markdown_table(
         [f"# Residue families for p = {result.p}", ""],
         ["family", "delta"] + _VERDICT_COLUMNS,
-        ([f.describe(), f.delta] + _cells(f) for f in result.families),
-        f"{len(result.surviving)} of {len(result.families)} families survive.",
-    )
+        ([f.describe(), f.delta, *cells, _detail(f.verdicts)]
+         for f, cells in families),
+    ))
+    out.write(f"\n{tally[True]} of {tally.total()} families survive.\n")
 
 
-def _enumeration_report(result, fmt):
+def _enumeration_report(result, fmt, out):
+    # Read once, as they arrive: `result.pairs` may be a generator.
+    tally = Counter()
+    rows = _cells(result.pairs, result.filters, tally)
     if fmt == "json":
-        return _json(
-            "enumeration",
-            filters=list(result.filters),
-            max_gap=result.max_gap,
-            warnings=list(result.warnings),
-            pairs=[_record_dict(pv, False) for pv in result.pairs],
-            survivor_count=len(result.surviving),
-        )
+        # A hand-written envelope around pairs encoded one at a time and
+        # indented to their depth: the bytes of one json.dumps.
+        out.write(json.dumps({
+            "schema_version": REPORT_SCHEMA_VERSION, "kind": "enumeration",
+            "filters": list(result.filters), "max_gap": result.max_gap,
+            "warnings": list(result.warnings), "pairs": [],
+        }, indent=2)[:-len("]\n}")])
+        texts = (json.dumps(_record_dict(pv, False), indent=2)
+                 for pv, _ in rows)
+        for index, chunk in enumerate(_chunks(texts)):
+            out.write(("," if index else "") + "\n    "
+                      + ",\n".join(chunk).replace("\n", "\n    "))
+        out.write(("\n  ]" if tally else "]")
+                  + f',\n  "survivor_count": {tally[True]}\n}}\n')
+        return
     if fmt == "csv":
-        return _csv(
-            ["p", "q", "q_prime", "gap", "delta"] + _VERDICT_COLUMNS,
-            ([pv.p, pv.q, pv.q_prime, pv.gap, pv.delta]
-             + _cells(pv, result.filters) for pv in result.pairs),
-        )
+        # Only the detail may need quoting: the rest are integers and words.
+        header = ["p", "q", "q_prime", "gap", "delta"] + _VERDICT_COLUMNS
+        return _lines(out, chain([",".join(header)], (
+            f"{pv.p},{pv.q},{pv.q_prime},{pv.gap},{pv.delta},"
+            f"{','.join(cells)},{_csv_cell(_detail(pv.verdicts))}"
+            for pv, cells in rows)))
     preamble = ["# Pair sweep", ""]
     for warning in result.warnings:
         preamble += [f"Note: {warning}", ""]
     # The markdown sweep table leaves out the detail column.
-    return _markdown_table(
-        preamble,
-        ["p", "q", "q'", "delta"] + _VERDICT_COLUMNS[:-1],
-        ([pv.p, pv.q, pv.q_prime, pv.delta] + _cells(pv, result.filters)[:-1]
-         for pv in result.pairs),
-        f"{len(result.surviving)} of {len(result.pairs)} pairs survive.",
-    )
+    _lines(out, _markdown_table(
+        preamble, ["p", "q", "q'", "delta"] + _VERDICT_COLUMNS[:-1],
+        ([pv.p, pv.q, pv.q_prime, pv.delta, *cells] for pv, cells in rows),
+    ))
+    out.write(f"\n{tally[True]} of {tally.total()} pairs survive.\n")
 
 
-def emit_report(result, format="json"):
-    """Render a ClassificationTable, ClassifyResult or EnumerationResult.
-
-    `format` is one of json, csv, markdown.  Returns the report text;
-    identical inputs give identical bytes.
-    """
+def write_report(result, fmt, out):
+    """Write a ClassificationTable, ClassifyResult or EnumerationResult to
+    the text stream `out` as json, csv or markdown.  A sweep is written as
+    its pairs arrive; if a streamed sweep raises, earlier rows stay."""
     kind = {
         ClassificationTable: _theorem_report,
         ClassifyResult: _classify_report,
         EnumerationResult: _enumeration_report,
     }.get(type(result))
-    if kind is None or format not in FORMATS:
-        raise ValueError(
-            f"cannot render {type(result).__name__} as {format!r}"
-        )
-    return kind(result, format)
+    if kind is None or fmt not in FORMATS:
+        raise ValueError(f"cannot render {type(result).__name__} as {fmt!r}")
+    kind(result, fmt, out)
+
+
+def emit_report(result, format="json"):
+    """The text of write_report; identical inputs give identical bytes."""
+    out = io.StringIO()
+    write_report(result, format, out)
+    return out.getvalue()

@@ -1,12 +1,21 @@
+import contextlib
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 
 from importlib import resources
 
-from cosmetic.cli import main
+import pytest
+
+from cosmetic import engine
+from cosmetic.cli import main, parse_range
+from cosmetic.engine import CrossCheckError, run_enumeration
+from cosmetic.obstructions import ObstructionVerdict
+from cosmetic.report import FORMATS, emit_report
 
 
 def run_cli(*args, expect=0):
@@ -138,3 +147,122 @@ def test_jobs_below_one_rejected():
     proc = run_cli("enumerate", "--p", "3", "--q", "1..5", "--jobs", "0",
                    expect=1)
     assert proc.stderr == "error: jobs must be at least 1\n"
+
+
+def test_delta2_rejects_non_integer_coefficients():
+    for text, bad in (('{"0": null}', "coefficient must be an integer, not None"),
+                      ('{"-1": 1.5, "0": -3, "1": 1.5}',
+                       "coefficient must be an integer, not 1.5"),
+                      ('{"-1": true, "0": -1, "1": true}',
+                       "coefficient must be an integer, not True"),
+                      ('{"x": 1}', "exponent must be an integer, not 'x'")):
+        proc = run_cli("casson", "delta2", text, expect=1)
+        assert proc.stderr == f"error: Alexander polynomial {bad}\n"
+        assert proc.stdout == ""
+
+
+# enumerate settings (p, q, filters, max gap) whose streamed CLI output
+# must equal emit_report of the materialized run_enumeration.
+STREAM_CASES = {
+    "all-filters": ("1..8", "1..100", "all", 8),
+    "congruence-dedekind-warning": ("3..5", "1..29", "congruence,dedekind", 8),
+    "distance-only": ("1..4", "1..24", "distance", 8),
+    "max-gap-3": ("1..8", "1..39", "all", 3),
+    "p131": ("131", "1..80", "congruence,dedekind", 8),
+    "empty": ("1..8", "5", "all", 8),
+}
+
+
+def _stream_case(name, fmt):
+    p, q, filters, max_gap = STREAM_CASES[name]
+    argv = ["enumerate", "--p", p, "--q", q, "--filters", filters,
+            "--max-gap", str(max_gap), "--format", fmt]
+    result = run_enumeration(
+        parse_range(p), parse_range(q),
+        filters="all" if filters == "all" else filters.split(","),
+        max_gap=max_gap)
+    return argv, result
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name", sorted(STREAM_CASES))
+def test_streamed_enumerate_matches_emit_report(name, fmt, capsys):
+    argv, result = _stream_case(name, fmt)
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out == emit_report(result, fmt)
+    assert err == "".join(f"warning: {w}\n" for w in result.warnings)
+    # The warning is decided before the sweep, by the rule it had when it
+    # was read off the finished pairs.
+    beyond = any(pv.delta > 8 for pv in result.pairs)
+    assert bool(result.warnings) == ("distance" not in result.filters
+                                     and beyond)
+
+
+def test_stream_cases_cover_the_warning_and_an_empty_sweep():
+    _, warned = _stream_case("congruence-dedekind-warning", "csv")
+    assert warned.warnings
+    _, empty = _stream_case("empty", "csv")
+    assert empty.pairs == ()
+    _, big = _stream_case("all-filters", "csv")
+    assert len(big.pairs) > 4096  # more than one write chunk
+
+
+def test_enumerate_bad_settings_write_nothing(capsys):
+    # Settings are checked before the first byte of a streamed report.
+    for extra in (["--p", "0..2"], ["--max-gap", "0"], ["--filters", "casson"],
+                  ["--jobs", "0"]):
+        argv = ["enumerate", "--p", "1..3", "--q", "1..9", "--format", "json"]
+        assert main(argv + extra) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:")
+
+
+def _enumerate_peak(width):
+    # tracemalloc peak of one CSV sweep of p 1..8 over `width` q, written
+    # to a sink that keeps nothing.
+    argv = ["enumerate", "--p", "1..8", "--q", f"50000..{50000 + width - 1}"]
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_enumerate_memory_does_not_grow_with_the_sweep():
+    _enumerate_peak(10)  # fill the arithmetic caches first
+    small, large = _enumerate_peak(150), _enumerate_peak(600)
+    assert large <= 1.25 * small
+
+
+def test_enumerate_lie_mid_sweep_exits_two(monkeypatch, capsys):
+    # One class's Dedekind verdict lies: p = 7, q = 3 (mod 7), gap 1,
+    # first met at q = 3, after every pair with p < 7 is written.
+    evaluate = engine._evaluate
+
+    def lying(p, q, q_prime, filters):
+        record = evaluate(p, q, q_prime, filters)
+        if (p, q % p, q_prime - q) != (7, 3, 1):
+            return record
+        verdicts = tuple(
+            ObstructionVerdict(v.filter_name, not v.passed, v.witness)
+            if v.filter_name == "dedekind" else v for v in record.verdicts)
+        return engine.PairVerdict(p, q, q_prime, verdicts,
+                                  all(v.passed for v in verdicts))
+
+    argv = ["enumerate", "--p", "1..8", "--q", "1..600"]
+    truth = emit_report(run_enumeration(range(1, 9), range(1, 601)), "csv")
+    monkeypatch.setattr(engine, "_evaluate", lying)
+    with pytest.raises(CrossCheckError) as caught:
+        run_enumeration(range(1, 9), range(1, 601))
+    assert str(caught.value).startswith("pair p=7 q=3 q'=4: dedekind verdict")
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err == f"cross-check failed: {caught.value}\n"
+    # Stdout is a prefix of the true report, cut at a row, and holds only
+    # pairs before the lying one: each was verified before it was written.
+    assert out and out.endswith("\n") and truth.startswith(out)
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert rows and all(int(row[0]) < 7 for row in rows)

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import pytest
@@ -174,6 +175,22 @@ def test_warning_when_distance_filter_disabled():
     tight = run_enumeration([1], range(1, 10), filters=["congruence", "dedekind"],
                             verify=False)
     assert tight.warnings == ()
+
+
+def test_warning_is_decided_before_the_sweep():
+    # The up-front rule agrees with reading the finished pairs.
+    rng = random.Random(14)
+    for _ in range(300):
+        ps = rng.sample(range(1, 12), rng.randint(1, 3))
+        qs = rng.sample(range(-5, 40), rng.randint(0, 8))
+        max_gap = rng.randint(1, 12)
+        for filters in (["congruence"], ["distance"]):
+            result = run_enumeration(ps, qs, filters=filters,
+                                     max_gap=max_gap, verify=False)
+            beyond = any(pv.delta > EXCEPTIONAL_DISTANCE_BOUND
+                         for pv in result.pairs)
+            assert bool(result.warnings) == (beyond and "distance"
+                                             not in filters)
 
 
 def test_run_classification_verifies_by_default():

@@ -5,7 +5,15 @@ import json
 
 import pytest
 
-from cosmetic.engine import replicate_theorem, run_classification, run_enumeration
+from cosmetic.engine import (
+    ClassifyResult,
+    EnumerationResult,
+    PairVerdict,
+    replicate_theorem,
+    run_classification,
+    run_enumeration,
+)
+from cosmetic.obstructions import ObstructionVerdict
 from cosmetic.report import REPORT_SCHEMA_VERSION, emit_report
 
 
@@ -110,6 +118,39 @@ def test_unsupported_inputs_rejected():
         emit_report(42, "json")
     with pytest.raises(ValueError):
         emit_report(run_classification(2), "yaml")
+
+
+def test_csv_cells_are_quoted_as_the_csv_module_quotes_them():
+    # Reasons the engine never writes, in forged parity verdicts.
+    odd = ["plain", "a, b", 'say "no"', "two\nlines", "carriage\rreturn",
+           "", " spaced ", "semi;colon"]
+    records = tuple(
+        PairVerdict(2, 2 * i + 1, 2 * i + 2, (ObstructionVerdict(
+            "parity", False, {"reason": reason}),), False)
+        for i, reason in enumerate(odd)
+    )
+
+    def expected(header, row):
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(row(r, reason) for r, reason in zip(records, odd))
+        return buffer.getvalue()
+
+    cells = ["", "fail", "", "", "no"]
+    sweep = EnumerationResult(records, (), 8, ())
+    assert emit_report(sweep, "csv") == expected(
+        ["p", "q", "q_prime", "gap", "delta", "distance", "parity",
+         "congruence", "dedekind", "surviving", "detail"],
+        lambda r, reason: [r.p, r.q, r.q_prime, r.gap, r.delta, *cells,
+                           reason])
+    # A family is read against all four filters.
+    cells = ["skipped", "fail", "skipped", "skipped", "no"]
+    families = ClassifyResult(2, records)
+    assert emit_report(families, "csv") == expected(
+        ["p", "q_residue", "gap", "delta", "distance", "parity",
+         "congruence", "dedekind", "surviving", "detail"],
+        lambda r, reason: [r.p, r.q_residue, r.gap, r.delta, *cells, reason])
 
 
 # Report builders for the byte-golden check, one per report kind and
