@@ -8,70 +8,55 @@ linking-form congruence q = q' u^2 (mod p), slope distance caps per
 exceptional geometry, homology bookkeeping for the candidate-exterior
 census, and a residue-class engine that rebuilds the full case-by-case
 classification and sweeps concrete slope pairs in bulk.
+
+The public names below are loaded from their modules on first use, so
+importing the package (or one command of the CLI) loads only what it
+runs.
 """
 
-from .census import (
-    CensusRecord,
-    ExteriorVerdict,
-    KnownFilling,
-    census_lookup,
-    load_census,
-    verify_census_exclusions,
-    zhs_exterior_filter,
-)
-from .dedekind import (
-    dedekind_sum_direct,
-    dedekind_sum_fast,
-    sawtooth,
-)
-from .engine import (
-    ClassificationTable,
-    ClassifyResult,
-    CrossCheckError,
-    EnumerationResult,
-    PairVerdict,
-    classify_candidates,
-    enumerate_pairs,
-    replicate_theorem,
-    run_classification,
-    run_enumeration,
-    stream_enumeration,
-    surviving_families,
-    verify_families,
-    verify_pairs,
-)
-from .homology import (
-    LinkSurgeryData,
-    WatsonData,
-    deduced_filling_orders,
-    h1_order_watson,
-    link_surgery_h1,
-    solve_framing_shift,
-)
-from .invariants import (
-    AlexanderPolynomial,
-    LensSpace,
-    alexander_second_derivative_at_1,
-    casson_lens,
-    casson_surgery,
-    cosmetic_dedekind_obstruction,
-)
-from .obstructions import (
-    GeometryClass,
-    ObstructionVerdict,
-    distance_cap,
-    linking_congruence,
-    parity_filter,
-    unit_squares_mod,
-)
-from .report import emit_report, write_report
-from .slopes import (
-    Slope,
-    canonicalize_slope,
-    format_rational,
-    parse_rational,
-    reframe_slope,
-    slope_distance,
-)
+from importlib import import_module
+
+
+class CrossCheckError(RuntimeError):
+    """An independently recomputed verdict disagreed with the engine's."""
+
+
+# The report formats; the CLI offers them without loading the report.
+FORMATS = ("json", "csv", "markdown")
+
+_EXPORTS = {
+    "census": ("CensusRecord", "ExteriorVerdict", "KnownFilling",
+               "census_lookup", "load_census", "verify_census_exclusions",
+               "zhs_exterior_filter"),
+    "dedekind": ("dedekind_sum_direct", "dedekind_sum_fast", "sawtooth"),
+    "engine": ("ClassificationTable", "ClassifyResult", "EnumerationResult",
+               "PairVerdict", "classify_candidates", "enumerate_pairs",
+               "replicate_theorem", "run_classification", "run_enumeration",
+               "stream_enumeration", "surviving_families", "verify_families",
+               "verify_pairs"),
+    "homology": ("LinkSurgeryData", "WatsonData", "deduced_filling_orders",
+                 "h1_order_watson", "link_surgery_h1", "solve_framing_shift"),
+    "invariants": ("AlexanderPolynomial", "LensSpace",
+                   "alexander_second_derivative_at_1", "casson_lens",
+                   "casson_surgery", "cosmetic_dedekind_obstruction"),
+    "obstructions": ("GeometryClass", "ObstructionVerdict", "distance_cap",
+                     "linking_congruence", "parity_filter",
+                     "unit_squares_mod"),
+    "report": ("emit_report", "write_report"),
+    "slopes": ("Slope", "canonicalize_slope", "format_rational",
+               "parse_rational", "reframe_slope", "slope_distance"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["CrossCheckError", *_HOME]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # PEP 562: import the defining module the first time a name is read.
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(
+        import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value

@@ -13,14 +13,12 @@ The census ships as a versioned JSON file next to this module and can be
 overridden (--census-file in the CLI) for experiments.
 """
 
-from __future__ import annotations
-
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from importlib import resources
 
-from .engine import CrossCheckError, surviving_families
+from . import CrossCheckError
 from .homology import deduced_filling_orders, solve_framing_shift
 from .invariants import AlexanderPolynomial, alexander_second_derivative_at_1
 from .slopes import Slope, canonicalize_slope
@@ -45,31 +43,24 @@ _FACT_FIELDS = {
     "cited_exclusion": ("statement",),
     "filling_homology": ("filling", "betti", "torsion"),
     "quotient_homology": ("filling", "betti", "torsion"),
-    "lens_filling_torsion": (),
     "framing_shift_exclusion": (),
     "whitehead_surgery_determinant": ("fixed_slope",),
     "alexander_polynomial": ("coefficients", "statement"),
 }
 
 
-@dataclass(frozen=True)
-class KnownFilling:
+class KnownFilling(namedtuple("KnownFilling",
+                              "slope kind description order lens",
+                              defaults=(None, None))):
     """One recorded filling: its slope in the census framing and what it is."""
 
-    slope: Slope
-    kind: str
-    description: str
-    order: int | None = None
-    lens: tuple | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CensusRecord:
-    id: str
-    boundary_tori: int
-    toroidal_pair_distance: int
-    known_fillings: tuple
-    homology_facts: tuple
+class CensusRecord(namedtuple("CensusRecord", "id boundary_tori "
+                              "toroidal_pair_distance known_fillings "
+                              "homology_facts")):
+    __slots__ = ()
 
     def lens_fillings(self):
         return [f for f in self.known_fillings if f.kind == "lens"]
@@ -78,21 +69,20 @@ class CensusRecord:
         return [f for f in self.known_fillings if f.kind == "toroidal"]
 
 
-@dataclass(frozen=True)
-class ExteriorVerdict:
+class ExteriorVerdict(namedtuple("ExteriorVerdict", "excluded reason cited")):
     """Can this census manifold be the exterior in question?
 
     `cited` marks exclusions resting on an external classification
     result rather than on arithmetic recomputed here.
     """
 
-    excluded: bool
-    reason: str | None = None
-    cited: bool = False
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # for _replace
 
-    def __post_init__(self):
-        if self.excluded and not self.reason:
+    def __new__(cls, excluded, reason=None, cited=False):
+        if excluded and not reason:
             raise ValueError("an exclusion must state its reason")
+        return tuple.__new__(cls, (excluded, reason, cited))
 
 
 _RECORD_FIELDS = ("id", "boundary_tori", "toroidal_pair_distance",
@@ -216,6 +206,8 @@ def _cosmetic_h1_orders(delta):
     # |H_1| values a truly cosmetic pair at this slope distance can give
     # the filled manifold: the p of every surviving residue family with
     # p * gap = delta.  {1} at distances 6 and 7; {1, 2} at distance 8.
+    from .engine import surviving_families
+
     orders = set()
     for p in range(1, delta + 1):
         if delta % p:
@@ -317,21 +309,6 @@ def zhs_exterior_filter(record):
                         "H_1 = Z, all of whose quotients are cyclic"
                     ),
                 )
-        elif kind == "lens_filling_torsion":
-            lens = record.lens_fillings()
-            if not lens:
-                raise ValueError(
-                    f"{record.id}: lens-filling fact without a lens filling"
-                )
-            return ExteriorVerdict(
-                excluded=True,
-                reason=(
-                    f"the census filling {lens[0].description} (order "
-                    f"{lens[0].order}) forces nontrivial torsion in H_1 of "
-                    "the exterior, but a knot exterior in a homology sphere "
-                    "has torsion-free H_1 = Z"
-                ),
-            )
         elif kind == "framing_shift_exclusion":
             verdict = _framing_shift_exclusion(record)
             if verdict is not None:

@@ -19,40 +19,12 @@ files included), 2 when an internal cross-check (oracle re-derivation or
 census exclusion) fails; a streamed `enumerate` report then stops short.
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
 
-from .census import (
-    census_lookup,
-    load_census,
-    verify_census_exclusions,
-    zhs_exterior_filter,
-)
-from .dedekind import dedekind_sum_fast
-from .engine import (
-    CrossCheckError,
-    replicate_theorem,
-    run_classification,
-    stream_enumeration,
-)
-from .homology import (
-    LinkSurgeryData,
-    WatsonData,
-    h1_order_watson,
-    link_surgery_h1,
-)
-from .invariants import (
-    AlexanderPolynomial,
-    LensSpace,
-    alexander_second_derivative_at_1,
-    casson_lens,
-    casson_surgery,
-)
-from .obstructions import linking_congruence
-from .report import FORMATS, emit_report, write_report
-from .slopes import Slope, format_rational, parse_rational
+from . import FORMATS, CrossCheckError
+
+# Each handler imports the modules it runs, so a command loads only those.
 
 
 def parse_range(text):
@@ -69,16 +41,25 @@ def parse_range(text):
 
 
 def cmd_dedekind(args):
+    from .dedekind import dedekind_sum_fast
+    from .slopes import format_rational
+
     print(format_rational(dedekind_sum_fast(args.q, args.p)))
     return 0
 
 
 def cmd_casson_lens(args):
+    from .invariants import LensSpace, casson_lens
+    from .slopes import format_rational
+
     print(format_rational(casson_lens(LensSpace(args.p, args.q))))
     return 0
 
 
 def cmd_casson_surgery(args):
+    from .invariants import casson_surgery
+    from .slopes import Slope, format_rational, parse_rational
+
     value = casson_surgery(
         parse_rational(args.lambda_y), args.delta2, Slope.parse(args.slope)
     )
@@ -87,12 +68,19 @@ def cmd_casson_surgery(args):
 
 
 def cmd_casson_delta2(args):
+    from .invariants import (
+        AlexanderPolynomial,
+        alexander_second_derivative_at_1,
+    )
+
     poly = AlexanderPolynomial.from_json(args.polynomial)
     print(alexander_second_derivative_at_1(poly))
     return 0
 
 
 def cmd_congruence(args):
+    from .obstructions import linking_congruence
+
     verdict = linking_congruence(args.p, args.q, args.q_prime)
     if verdict.passed:
         print(
@@ -108,12 +96,18 @@ def cmd_congruence(args):
 
 
 def cmd_homology_watson(args):
+    from .homology import WatsonData, h1_order_watson
+    from .slopes import Slope
+
     data = WatsonData(args.c, args.shift)
     print(h1_order_watson(data, Slope.parse(args.slope)))
     return 0
 
 
 def cmd_homology_link(args):
+    from .homology import LinkSurgeryData, link_surgery_h1
+    from .slopes import Slope
+
     data = LinkSurgeryData(
         Slope.parse(args.framing1), Slope.parse(args.framing2), args.lk
     )
@@ -122,6 +116,8 @@ def cmd_homology_link(args):
 
 
 def cmd_census_show(args):
+    from .census import census_lookup, load_census, zhs_exterior_filter
+
     census = load_census(args.census_file)
     record = census_lookup(args.id, census)
     tori = "torus" if record.boundary_tori == 1 else "tori"
@@ -141,12 +137,19 @@ def cmd_census_show(args):
 
 
 def cmd_classify(args):
+    from .engine import run_classification
+    from .report import emit_report
+
     result = run_classification(args.p, verify=not args.no_verify)
     print(emit_report(result, args.format), end="")
     return 0
 
 
 def cmd_replicate(args):
+    from .census import load_census, verify_census_exclusions
+    from .engine import replicate_theorem
+    from .report import emit_report
+
     census = load_census(args.census_file)
     verify_census_exclusions(census)
     table = replicate_theorem(verify=not args.no_verify)
@@ -155,6 +158,9 @@ def cmd_replicate(args):
 
 
 def cmd_enumerate(args):
+    from .engine import stream_enumeration
+    from .report import write_report
+
     filters = "all" if args.filters == "all" else args.filters.split(",")
     result = stream_enumeration(
         parse_range(args.p),

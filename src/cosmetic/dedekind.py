@@ -9,14 +9,15 @@ and 0 at integers.
 
 `dedekind_sum_direct` evaluates the defining sum term by term in O(p)
 integer arithmetic and is the oracle everything else is checked against.
-`dedekind_sum_fast` runs the Euclidean algorithm through the reciprocity
-law and takes O(log p) exact rational operations.  The two must agree on
-every input; a test sweeps the full coprime range up to p = 300.
+`dedekind_sum_fast` walks the Euclidean algorithm through the reciprocity
+law (Rademacher-Grosswald; Knuth, TAOCP 3.3.3), which times 12 p q reads
 
-Sums are exact `fractions.Fraction` values throughout.
+    T(q, p) = 12 p s(q, p) = (p^2 + q^2 + 1 - 3 p q - p T(p mod q, q)) / q
+
+for 0 < q < p coprime, with T(0, 1) = 0: O(log p) exact integer steps.
+The two agree on every input (a test sweeps all coprime pairs up to
+p = 300) and return exact `fractions.Fraction` values.
 """
-
-from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
@@ -66,25 +67,25 @@ def dedekind_sum_direct(q, p):
 
 @lru_cache(maxsize=4096)
 def _fast_normalized(q, p):
-    # s(q, p) for 0 <= q < p, gcd(q, p) = 1, via reciprocity:
-    #   s(q, p) + s(p, q) = -1/4 + (p/q + q/p + 1/(pq)) / 12
-    # together with s(p, q) = s(p mod q, q).  One Euclidean step per loop.
-    total = Fraction(0)
-    sign = 1
-    while q > 0:
-        total += sign * (Fraction(p * p + q * q + 1, 12 * p * q) - Fraction(1, 4))
-        p, q, sign = q, p % q, -sign
-    return total
+    # T(q, p) for 0 <= q < p coprime: down the Euclidean chain to
+    # T(0, 1) = 0, then back up it by the recurrence.
+    chain = []
+    while q:
+        chain.append((q, p))
+        p, q = q, p % q
+    t = 0
+    for q, p in reversed(chain):
+        t = (p * p + q * q + 1 - 3 * p * q - p * t) // q
+    return t
+
+
+def scaled_dedekind_sum(q, p):
+    """T(q, p) = 12 |p| s(q, p); s is periodic in q and odd in p."""
+    _check_pair(q, p)
+    t = _fast_normalized(q % abs(p), abs(p))
+    return t if p > 0 else -t
 
 
 def dedekind_sum_fast(q, p):
-    """s(q, p) in O(log p) exact steps via the reciprocity law.
-
-    Reduces q mod |p| first (the sum is periodic in q) and pulls the
-    sign of p out front (s is odd in the p slot under p -> -p).  Agrees
-    with dedekind_sum_direct everywhere.
-    """
-    _check_pair(q, p)
-    ap = abs(p)
-    sign = 1 if p > 0 else -1
-    return sign * _fast_normalized(q % ap, ap)
+    """s(q, p) = T(q, p) / 12 |p|, by the O(log p) integer recurrence."""
+    return Fraction(scaled_dedekind_sum(q, p), 12 * abs(p))

@@ -21,11 +21,10 @@ per residue; they never read the engine's square-root table or
 reciprocity cache.  The CLI turns a disagreement into exit code 2.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from math import gcd
 
+from . import CrossCheckError
 from .dedekind import dedekind_sum_direct
 from .invariants import cosmetic_dedekind_obstruction, dedekind_reason
 from .obstructions import (
@@ -68,12 +67,8 @@ FINITE_PI1_NOTE = (
 )
 
 
-class CrossCheckError(RuntimeError):
-    """An independently recomputed verdict disagreed with the engine's."""
-
-
-@dataclass(frozen=True)
-class PairVerdict:
+class PairVerdict(
+        namedtuple("PairVerdict", "p q q_prime verdicts surviving")):
     """One pair p/q, p/q' with its filter trail.
 
     As a residue family it stands for every pair q = q_residue (mod p),
@@ -82,11 +77,7 @@ class PairVerdict:
     p * gap <= 8.
     """
 
-    p: int
-    q: int
-    q_prime: int
-    verdicts: tuple
-    surviving: bool
+    __slots__ = ()
 
     @property
     def gap(self):
@@ -111,8 +102,8 @@ class PairVerdict:
         )
 
 
-@dataclass(frozen=True)
-class ClassificationTable:
+class ClassificationTable(
+        namedtuple("ClassificationTable", "sections notes evaluated")):
     """Surviving families arranged by the geometry of the filling.
 
     `sections` maps each geometry class, in case order, to the surviving
@@ -122,9 +113,7 @@ class ClassificationTable:
     included.
     """
 
-    sections: dict
-    notes: dict
-    evaluated: tuple
+    __slots__ = ()
 
     def families_for(self, geometry):
         return self.sections[geometry]
@@ -133,26 +122,21 @@ class ClassificationTable:
         return self.notes.get(geometry)
 
 
-@dataclass(frozen=True)
-class ClassifyResult:
+class ClassifyResult(namedtuple("ClassifyResult", "p families")):
     """classify_candidates output plus the p it was run for."""
 
-    p: int
-    families: tuple
+    __slots__ = ()
 
     @property
     def surviving(self):
         return tuple(f for f in self.families if f.surviving)
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(
+        namedtuple("EnumerationResult", "pairs filters max_gap warnings")):
     """A pair sweep and its settings; `pairs` may be a one-shot generator."""
 
-    pairs: tuple
-    filters: tuple
-    max_gap: int
-    warnings: tuple
+    __slots__ = ()
 
     @property
     def surviving(self):
@@ -369,7 +353,7 @@ def run_enumeration(p_values, q_values, filters="all", max_gap=None,
     """Materialize a verified enumerate_pairs sweep with its settings."""
     result = stream_enumeration(p_values, q_values, filters, max_gap, jobs,
                                 verify)
-    return replace(result, pairs=tuple(result.pairs))
+    return result._replace(pairs=tuple(result.pairs))
 
 
 def _expect(verdict, passed):
@@ -415,14 +399,16 @@ def _direct_sum_text(memo, x, p):
 
 def _unit_images(memo, x, p):
     # Exhaustive unit search: marks x * u^2 mod p for every unit u in
-    # 1..p-1.
+    # 1..p-1.  The units come from one gcd scan per p.
     key = ("images", x % p)
     images = memo.get(key)
     if images is None:
+        units = memo.get("units")
+        if units is None:
+            units = memo["units"] = [u for u in range(1, p) if gcd(u, p) == 1]
         images = memo[key] = bytearray(p)
-        for u in range(1, p):
-            if gcd(u, p) == 1:
-                images[x * u * u % p] = 1
+        for u in units:
+            images[x * u * u % p] = 1
     return images
 
 

@@ -23,17 +23,14 @@ same presentation-matrix recipe but only lk = 0 is exercised by the
 shipped census.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .slopes import Slope, reframe_slope, slope_distance
 
 RATIONAL_LONGITUDE = Slope(0, 1)
 
 
-@dataclass(frozen=True)
-class WatsonData:
+class WatsonData(namedtuple("WatsonData", "c_m shift")):
     """The linear model |H_1(M(s))| = c_m * Delta(s', 0/1), s' = s reframed.
 
     `shift` is the integer change of longitude that converts the slope
@@ -41,21 +38,20 @@ class WatsonData:
     rational longitude reads 0/1.
     """
 
-    c_m: int
-    shift: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # for _replace
 
-    def __post_init__(self):
-        if self.c_m < 1:
+    def __new__(cls, c_m, shift):
+        if c_m < 1:
             raise ValueError("the homology constant c_m must be >= 1")
+        return tuple.__new__(cls, (c_m, shift))
 
 
-@dataclass(frozen=True)
-class LinkSurgeryData:
+class LinkSurgeryData(
+        namedtuple("LinkSurgeryData", "framing1 framing2 linking_number")):
     """Framings a1/b1, a2/b2 on a two-component link with linking number lk."""
 
-    framing1: Slope
-    framing2: Slope
-    linking_number: int
+    __slots__ = ()
 
 
 def h1_order_watson(data, s):

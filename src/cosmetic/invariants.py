@@ -19,47 +19,41 @@ obstruction is the clean equality s(q, p) = s(q', p).  That is
 `cosmetic_dedekind_obstruction`.
 """
 
-from __future__ import annotations
-
-import json
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
-from .dedekind import dedekind_sum_fast
+from .dedekind import dedekind_sum_fast, scaled_dedekind_sum
 from .obstructions import ObstructionVerdict
-from .slopes import format_rational
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
-@dataclass(frozen=True)
-class LensSpace:
+class LensSpace(namedtuple("LensSpace", "p q")):
     """L(p, q) with p >= 1, q reduced mod p into [1, p-1]; L(1, 0) is S^3.
 
     The constructor reduces q mod p itself, so LensSpace(7, 8) equals
     LensSpace(7, 1).  Non-coprime pairs are rejected.
     """
 
-    p: int
-    q: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # for _replace
 
-    def __post_init__(self):
-        if self.p < 1:
+    def __new__(cls, p, q):
+        if p < 1:
             raise ValueError("lens space needs p >= 1")
-        q = self.q % self.p if self.p > 1 else 0
-        if self.p > 1 and gcd(q, self.p) != 1:
-            raise ValueError(f"L({self.p}, {self.q}) needs gcd(p, q) = 1")
-        object.__setattr__(self, "q", q)
+        reduced = q % p if p > 1 else 0
+        if p > 1 and gcd(reduced, p) != 1:
+            raise ValueError(f"L({p}, {q}) needs gcd(p, q) = 1")
+        return tuple.__new__(cls, (p, reduced))
 
     def __str__(self):
         return f"L({self.p},{self.q})"
 
 
-@dataclass(frozen=True)
-class AlexanderPolynomial:
+class AlexanderPolynomial(namedtuple("AlexanderPolynomial", "coefficients")):
     """A symmetrized Alexander polynomial sum a_k t^k.
 
     Stored as a sorted tuple of (exponent, coefficient) pairs with zero
@@ -69,11 +63,12 @@ class AlexanderPolynomial:
     its negative has value +1; both describe the same knot.)
     """
 
-    coefficients: tuple
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # for _replace
 
-    def __post_init__(self):
+    def __new__(cls, coefficients):
         terms = {}
-        for k, a in self.coefficients:
+        for k, a in coefficients:
             for value, what in ((k, "exponent"), (a, "coefficient")):
                 if isinstance(value, bool) or not isinstance(value, int):
                     raise ValueError(f"Alexander polynomial {what} must be "
@@ -90,9 +85,7 @@ class AlexanderPolynomial:
             raise ValueError(
                 "Alexander polynomial must be normalized to value +-1 at t = 1"
             )
-        object.__setattr__(
-            self, "coefficients", tuple(sorted(terms.items()))
-        )
+        return tuple.__new__(cls, (tuple(sorted(terms.items())),))
 
     @classmethod
     def from_coefficients(cls, mapping):
@@ -106,6 +99,7 @@ class AlexanderPolynomial:
     @classmethod
     def from_json(cls, text):
         """Read the JSON map form, e.g. '{"-1": 1, "0": -3, "1": 1}'."""
+        import json
         mapping = json.loads(text)
         if not isinstance(mapping, dict):
             raise ValueError("Alexander polynomial must be a JSON object "
@@ -153,15 +147,20 @@ def cosmetic_dedekind_obstruction(p, q, q_prime):
 
     A truly cosmetic pair has Delta''(1) = 0, so the surgery formula
     reduces the equality of Casson invariants to equality of the two
-    Dedekind sums.  The witness records both values either way.
-    """
-    # Fractions print in lowest terms, so equal texts mean equal sums.
-    s_q = format_rational(dedekind_sum_fast(q, p))
-    s_q_prime = format_rational(dedekind_sum_fast(q_prime, p))
+    Dedekind sums, compared as integers over 12 p.  The witness records
+    both values either way."""
+    t_q, t_q_prime = scaled_dedekind_sum(q, p), scaled_dedekind_sum(q_prime, p)
+    s_q, s_q_prime = _sum_text(t_q, p), _sum_text(t_q_prime, p)
     witness = {"s_q": s_q, "s_q_prime": s_q_prime}
-    if s_q != s_q_prime:
+    if t_q != t_q_prime:
         witness["reason"] = dedekind_reason(p, q, q_prime, s_q, s_q_prime)
-    return ObstructionVerdict("dedekind", s_q == s_q_prime, witness)
+    return ObstructionVerdict("dedekind", t_q == t_q_prime, witness)
+
+
+def _sum_text(t, p):
+    # T / 12|p| in lowest terms, as format_rational writes it.
+    g = gcd(t, 12 * abs(p))
+    return f"{t // g}/{12 * abs(p) // g}"
 
 
 def dedekind_reason(p, q, q_prime, s_q, s_q_prime):

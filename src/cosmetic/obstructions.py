@@ -16,9 +16,7 @@ Each filter reports an ObstructionVerdict carrying enough of a witness to
 replay the conclusion by hand.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 from math import gcd
@@ -56,8 +54,8 @@ def distance_cap(geometry):
     return _DISTANCE_CAPS[geometry]
 
 
-@dataclass(frozen=True)
-class ObstructionVerdict:
+class ObstructionVerdict(
+        namedtuple("ObstructionVerdict", "filter_name passed witness")):
     """Outcome of one filter on one candidate pair.
 
     `witness` explains the outcome: on failure it is always present (the
@@ -65,13 +63,13 @@ class ObstructionVerdict:
     records the unit u with q = q' * u^2 (mod p).
     """
 
-    filter_name: str
-    passed: bool
-    witness: dict | None = field(default=None)
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # for _replace
 
-    def __post_init__(self):
-        if not self.passed and self.witness is None:
+    def __new__(cls, filter_name, passed, witness=None):
+        if not passed and witness is None:
             raise ValueError("a failing verdict must carry a witness")
+        return tuple.__new__(cls, (filter_name, passed, witness))
 
 
 # Sweeps visit p in sorted order, so a few entries suffice and memory

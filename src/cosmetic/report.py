@@ -9,14 +9,12 @@ a text stream in chunks as they are made, so a streamed sweep is never
 held whole; emit_report collects the same bytes in a string.
 """
 
-from __future__ import annotations
-
 import io
-import json
 from collections import Counter
 from itertools import chain, islice
 from operator import attrgetter
 
+from . import FORMATS
 from .engine import (
     ClassificationTable,
     ClassifyResult,
@@ -27,8 +25,6 @@ from .engine import (
 from .obstructions import distance_cap
 
 REPORT_SCHEMA_VERSION = 1
-
-FORMATS = ("json", "csv", "markdown")
 
 _VERDICT_COLUMNS = list(FILTER_ORDER) + ["surviving", "detail"]
 _PATTERN = attrgetter("filter_name", "passed")  # what a row's cells read
@@ -106,6 +102,8 @@ def _chunks(items):
 
 
 def _json(out, kind, **fields):
+    import json
+
     payload = {"schema_version": REPORT_SCHEMA_VERSION, "kind": kind, **fields}
     out.write(json.dumps(payload, indent=2) + "\n")
 
@@ -219,6 +217,8 @@ def _enumeration_report(result, fmt, out):
     if fmt == "json":
         # A hand-written envelope around pairs encoded one at a time and
         # indented to their depth: the bytes of one json.dumps.
+        import json
+
         out.write(json.dumps({
             "schema_version": REPORT_SCHEMA_VERSION, "kind": "enumeration",
             "filters": list(result.filters), "max_gap": result.max_gap,

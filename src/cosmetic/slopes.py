@@ -9,9 +9,7 @@ Everything here is exact: coefficients are arbitrary-precision integers
 and rational values are `fractions.Fraction`.  No floats anywhere.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -27,28 +25,28 @@ def format_rational(x):
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True)
-class Slope:
+class Slope(namedtuple("Slope", "a b")):
     """A canonical slope a/b: gcd(a, b) = 1 and a > 0, or (a, b) = (0, 1).
 
     Construct through canonicalize_slope() or Slope.parse() unless the
-    pair is already in canonical form; __post_init__ rejects anything
-    else so canonical form is an invariant of the type.
+    pair is already in canonical form; the constructor (and so
+    `_replace`) rejects anything else, so canonical form is an invariant
+    of the type.
     """
 
-    a: int
-    b: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # for _replace
 
-    def __post_init__(self):
-        if self.a == 0 and self.b == 0:
+    def __new__(cls, a, b):
+        if a == 0 and b == 0:
             raise ValueError("0/0 is not a slope")
-        if gcd(self.a, self.b) != 1:
-            raise ValueError(f"slope {self.a}/{self.b} is not primitive")
-        if self.a < 0 or (self.a == 0 and self.b < 0):
+        if gcd(a, b) != 1:
+            raise ValueError(f"slope {a}/{b} is not primitive")
+        if a < 0 or (a == 0 and b < 0):
             raise ValueError(
-                f"slope {self.a}/{self.b} is not sign-canonical; "
-                "use canonicalize_slope"
+                f"slope {a}/{b} is not sign-canonical; use canonicalize_slope"
             )
+        return tuple.__new__(cls, (a, b))
 
     def __str__(self):
         return f"{self.a}/{self.b}"

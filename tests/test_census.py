@@ -15,6 +15,9 @@ from cosmetic.cli import main
 from cosmetic.engine import CrossCheckError
 
 
+CITED = {"M1", "M2", "M3", "M6", "M7", "M10", "M11", "M12", "M13"}
+
+
 def _census_data():
     text = resources.files("cosmetic").joinpath("census.json").read_text()
     return json.loads(text)
@@ -79,7 +82,22 @@ def test_all_records_excluded_with_reasons():
         verdict = zhs_exterior_filter(census[rid])
         assert verdict.excluded, rid
         assert verdict.reason, rid
-        assert verdict.cited == (rid in {"M1", "M2", "M3"}), rid
+        assert verdict.cited == (rid in CITED), rid
+
+
+def test_nine_exclusions_are_computed_and_nine_cited():
+    # M6, M7 and M10-M13 only restate the order of their lens filling, so
+    # they are cited like M1-M3; the other nine are recomputed.
+    cited = [zhs_exterior_filter(r).cited for r in load_census().values()]
+    assert cited.count(True) == cited.count(False) == 9
+
+
+def test_census_show_marks_every_cited_exclusion(capsys):
+    for rid in EXPECTED_IDS:
+        assert main(["census", "show", rid]) == 0
+        verdict = capsys.readouterr().out.splitlines()[-1]
+        assert verdict.startswith("  verdict: excluded")
+        assert ("[cited]" in verdict) == (rid in CITED), rid
 
 
 def test_exclusion_reasons_carry_the_numbers():
@@ -208,3 +226,11 @@ def test_load_checks_the_top_level_shape(tmp_path, capsys, data, message):
     assert str(info.value) == message
     assert main(["replicate-theorem", "--census-file", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_replace_cannot_build_an_unexplained_exclusion():
+    verdict = zhs_exterior_filter(load_census()["M4"])
+    assert verdict._replace(cited=True).cited
+    for reason in (None, ""):
+        with pytest.raises(ValueError):
+            verdict._replace(reason=reason)

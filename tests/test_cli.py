@@ -43,6 +43,36 @@ def test_cli_import_loads_no_process_pool():
     assert proc.stdout == "[]\n"
 
 
+def _modules_after(code):
+    # The package modules and `dataclasses` loaded in a fresh interpreter
+    # once `code` has run.
+    code += ("\nimport sys\nprint(*(m for m in sys.modules if "
+             "m == 'dataclasses' or m.startswith('cosmetic')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    return set(proc.stdout.split())
+
+
+def test_cli_import_loads_only_the_cli():
+    loaded = _modules_after("import cosmetic.cli")
+    assert loaded == {"cosmetic", "cosmetic.cli"}
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["enumerate", "--p", "5", "--q", "1..30"],
+     {"cosmetic.census", "cosmetic.homology"}),
+    (["dedekind", "5", "7"], {"cosmetic.engine", "cosmetic.report"}),
+], ids=["enumerate", "dedekind"])
+def test_a_command_loads_only_what_it_runs(argv, absent):
+    loaded = _modules_after(
+        "import contextlib, io\nfrom cosmetic.cli import main\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0"
+    )
+    assert "cosmetic.slopes" in loaded
+    assert not loaded & (absent | {"dataclasses"})
+
+
 def test_dedekind_command():
     assert run_cli("dedekind", "5", "7").stdout.strip() == "-1/14"
     assert run_cli("dedekind", "6", "7").stdout.strip() == "-5/14"

@@ -4,9 +4,11 @@ from math import gcd
 import pytest
 
 from cosmetic.dedekind import (
+    _fast_normalized,
     dedekind_sum_direct,
     dedekind_sum_fast,
     sawtooth,
+    scaled_dedekind_sum,
 )
 
 
@@ -112,3 +114,33 @@ def test_reciprocity():
                 Fraction(p, q) + Fraction(q, p) + Fraction(1, p * q)
             ) / 12
             assert lhs == rhs
+
+
+def test_integer_walk_is_twelve_p_times_the_direct_sum():
+    # T(q, p) = 12 p s(q, p) for every coprime 0 <= q < p < 300, walked
+    # without the cache; T(0, 1) = 0.
+    walk = _fast_normalized.__wrapped__
+    assert walk(0, 1) == 0
+    for p in range(2, 300):
+        for q in range(1, p):
+            if gcd(q, p) == 1:
+                assert walk(q, p) == 12 * p * dedekind_sum_direct(q, p)
+
+
+def test_equal_sums_satisfy_the_jabuka_robins_wang_congruence():
+    # s(q, p) = s(q', p) implies p | (q - q')(q q' - 1) (Jabuka-Robins-Wang,
+    # Int. J. Number Theory 7, 2011).  The converse fails, so this is a
+    # test of the sums and never a filter.
+    pairs = 0
+    for p in range(1, 300):
+        residues_by_sum = {}
+        for q in range(p):
+            if gcd(q, p) == 1:
+                residues_by_sum.setdefault(scaled_dedekind_sum(q, p),
+                                           []).append(q)
+        for qs in residues_by_sum.values():
+            for i, q in enumerate(qs):
+                for q_prime in qs[i + 1:]:
+                    assert (q - q_prime) * (q * q_prime - 1) % p == 0
+                    pairs += 1
+    assert pairs == 16387

@@ -1,5 +1,5 @@
 import random
-from dataclasses import replace
+from math import gcd
 
 import pytest
 
@@ -225,16 +225,16 @@ def test_verify_requires_the_selected_filters():
     # the trail reads as a survivor.
     (pair,) = run_enumeration([7], [1, 2]).pairs
     assert [v.passed for v in pair.verdicts] == [True, True, True, False]
-    dropped = replace(pair, verdicts=pair.verdicts[:3], surviving=True)
+    dropped = pair._replace(verdicts=pair.verdicts[:3], surviving=True)
     with pytest.raises(CrossCheckError, match="trail has filters"):
         verify_pairs([dropped], filters="all")
     assert verify_pairs([dropped]) == 1  # no filters given: any subset
-    reordered = replace(pair, verdicts=pair.verdicts[::-1])
+    reordered = pair._replace(verdicts=pair.verdicts[::-1])
     with pytest.raises(CrossCheckError, match="trail has filters"):
         verify_pairs([reordered])
     # Families always carry all four filters.
     family = classify_candidates(7)[0]
-    no_distance = replace(family, verdicts=family.verdicts[1:])
+    no_distance = family._replace(verdicts=family.verdicts[1:])
     with pytest.raises(CrossCheckError, match="trail has filters"):
         verify_families([no_distance])
 
@@ -247,7 +247,7 @@ def test_verify_reports_a_missing_witness_key():
         for v in pair.verdicts
     )
     with pytest.raises(CrossCheckError, match="witness has no 's_q'"):
-        verify_pairs([replace(pair, verdicts=stripped)])
+        verify_pairs([pair._replace(verdicts=stripped)])
 
 
 def _corrupted(value):
@@ -263,8 +263,8 @@ def _mutants(record):
     corrupted, and the surviving flag flipped: every single-point
     corruption of the record."""
     def rebuild(verdicts):
-        return replace(record, verdicts=tuple(verdicts),
-                       surviving=all(v.passed for v in verdicts))
+        return record._replace(verdicts=tuple(verdicts),
+                               surviving=all(v.passed for v in verdicts))
 
     trail = list(record.verdicts)
     for i, v in enumerate(trail):
@@ -279,7 +279,7 @@ def _mutants(record):
             bad = dict(v.witness, **{key: _corrupted(v.witness[key])})
             forged = ObstructionVerdict(v.filter_name, v.passed, bad)
             yield rebuild(trail[:i] + [forged] + trail[i + 1:])
-    yield replace(record, surviving=not record.surviving)
+    yield record._replace(surviving=not record.surviving)
 
 
 @pytest.mark.parametrize("sweep", [
@@ -311,10 +311,21 @@ def test_verify_memoizes_oracles_per_residue(monkeypatch):
     assert len(result.pairs) == 2 * 764
     assert len(calls) == len(set(calls))
     assert obstructions._unit_squares.cache_info().misses == 2
-    # The oracle pass never reads the engine's square-root table.
+    # The oracle pass never reads the engine's square-root table, and it
+    # scans for the units of each p once: gcd(p - 1, p) is the scan's last
+    # call, and no pair here holds q = p - 1.
+    scans = []
+
+    def counted_gcd(a, b):
+        if a == b - 1:
+            scans.append(b)
+        return gcd(a, b)
+
+    monkeypatch.setattr(engine, "gcd", counted_gcd)
     before = obstructions._unit_squares.cache_info()
     verify_pairs(result.pairs, filters=result.filters)
     assert obstructions._unit_squares.cache_info() == before
+    assert scans == [127, 131]
 
 
 def _pairwise(ps, qs, filters):

@@ -96,3 +96,10 @@ def test_deduced_orders_disjoint_across_shift_sets():
         from_four = deduced_filling_orders({5, -3}, s)
         from_eight = deduced_filling_orders({9, -7}, s)
         assert not (from_four & from_eight)
+
+
+def test_replace_cannot_build_invalid_watson_data():
+    data = WatsonData(2, 0)
+    assert data._replace(shift=3) == WatsonData(2, 3)
+    with pytest.raises(ValueError):
+        data._replace(c_m=0)

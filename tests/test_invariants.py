@@ -130,3 +130,20 @@ def test_dedekind_obstruction_symmetric():
                 a = cosmetic_dedekind_obstruction(p, q, q2)
                 b = cosmetic_dedekind_obstruction(p, q2, q)
                 assert a.passed == b.passed
+
+
+def test_replace_cannot_build_an_invalid_lens_space():
+    lens = LensSpace(7, 1)
+    assert lens._replace(q=8) == LensSpace(7, 1)  # reduced mod p again
+    with pytest.raises(ValueError):
+        lens._replace(q=14)
+    with pytest.raises(ValueError):
+        lens._replace(p=0)
+
+
+def test_replace_cannot_build_an_invalid_alexander_polynomial():
+    poly = AlexanderPolynomial.from_coefficients({-1: 1, 0: -1, 1: 1})
+    assert poly._replace(coefficients=((1, 1), (0, -1), (-1, 1))) == poly
+    for coefficients in (((1, 1), (0, -1)), ((0, 2),), ((0, True),)):
+        with pytest.raises(ValueError):
+            poly._replace(coefficients=coefficients)

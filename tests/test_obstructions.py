@@ -156,3 +156,11 @@ def test_failing_verdict_requires_witness():
     with pytest.raises(ValueError):
         ObstructionVerdict("anything", False, None)
     assert ObstructionVerdict("anything", True, None).witness is None
+
+
+def test_replace_cannot_build_an_invalid_verdict():
+    verdict = ObstructionVerdict("parity", True)
+    with pytest.raises(ValueError):
+        verdict._replace(passed=False)
+    failing = verdict._replace(passed=False, witness={"reason": "r"})
+    assert failing == ("parity", False, {"reason": "r"})

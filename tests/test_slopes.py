@@ -128,3 +128,11 @@ def test_rational_formatting():
     assert format_rational(0) == "0/1"
     assert parse_rational("5/15") == Fraction(1, 3)
     assert parse_rational("-2") == Fraction(-2)
+
+
+def test_replace_cannot_build_an_invalid_slope():
+    slope = Slope(3, 2)
+    assert slope._replace(b=1) == Slope(3, 1)
+    for fields in ({"b": 3}, {"a": -3}, {"a": 0, "b": 0}):
+        with pytest.raises(ValueError):
+            slope._replace(**fields)
