@@ -17,8 +17,8 @@ principles: `verify_families` and `verify_pairs` recompute each filter
 from its definitional oracle (the O(p) direct Dedekind sum, exhaustive
 unit search) and raise CrossCheckError on any disagreement.  Those
 oracles read q only through q mod p, so one verify pass memoizes them
-per residue; they never read the engine's square-root table or
-reciprocity cache.  The CLI turns a disagreement into exit code 2.
+per residue and their verdicts per class; they never read the engine's
+square-root table or reciprocity cache.  The CLI exits 2 on a mismatch.
 """
 
 from collections import namedtuple
@@ -33,6 +33,7 @@ from .obstructions import (
     ObstructionVerdict,
     congruence_reason,
     distance_cap,
+    distance_reason,
     linking_congruence,
     parity_filter,
     parity_reason,
@@ -169,10 +170,7 @@ def _evaluate(p, q, q_prime, filters):
         passed = delta <= EXCEPTIONAL_DISTANCE_BOUND
         witness = {"delta": delta}
         if not passed:
-            witness["reason"] = (
-                f"slope distance {delta} exceeds the exceptional bound "
-                f"{EXCEPTIONAL_DISTANCE_BOUND}"
-            )
+            witness["reason"] = distance_reason(delta)
         verdicts.append(ObstructionVerdict("distance", passed, witness))
     parity = parity_filter(p, q, q_prime)
     verdicts.append(parity)
@@ -252,16 +250,8 @@ def replicate_theorem(verify=True):
     return ClassificationTable(sections, notes, evaluated)
 
 
-def _renamed(verdict, p, q, q_prime):
-    # A class's failing parity, congruence or Dedekind verdict for
-    # another pair of the class: these reasons name q.
-    name, w = verdict.filter_name, verdict.witness
-    reason = (
-        parity_reason(p, q, q_prime) if name == "parity"
-        else congruence_reason(p, q, q_prime) if name == "congruence"
-        else dedekind_reason(p, q, q_prime, w["s_q"], w["s_q_prime"])
-    )
-    return ObstructionVerdict(name, False, {**w, "reason": reason})
+_REASONS = {"parity": parity_reason, "congruence": congruence_reason,
+            "dedekind": dedekind_reason}  # the failing reasons that name q
 
 
 def _sweep_settings(p_values, q_values, filters, max_gap, jobs):
@@ -287,16 +277,17 @@ def enumerate_pairs(p_values, q_values, filters="all", max_gap=None, jobs=1):
     distance/congruence/dedekind; parity always runs, and when it fails
     the remaining filters are reported as skipped.  The sweep runs in
     this process: `jobs` must be at least 1 and never changes the output.
-    For each p the filter chain runs once per residue class; later pairs
-    of the class share its verdicts, read-only, and get their own copies
-    of the witness texts that name q.
+    For each p the filter chain runs once per residue class.  A class
+    keeps its first record's verdicts, shared read-only by its later
+    pairs, and each failing verdict whose reason names q with that
+    reason's formatter: a later pair gets its own copy of those witnesses.
     """
     ps, qs, chosen, max_gap = _sweep_settings(p_values, q_values, filters,
                                               max_gap, jobs)
-    members = frozenset(qs)
+    members, new = frozenset(qs), tuple.__new__
     for p in ps:
         # At p = 1 a pair holding q = 0 (the meridian) is a class of its
-        # own.  A class keeps its first record and which reasons name q.
+        # own.  Later records skip __new__'s checks: the first passed them.
         classes = {}
         for q in qs:
             for gap in range(1, max_gap + 1):
@@ -307,18 +298,22 @@ def enumerate_pairs(p_values, q_values, filters="all", max_gap=None, jobs=1):
                 entry = classes.get(key)
                 if entry is None:
                     first = _evaluate(p, q, q_prime, chosen)
-                    classes[key] = first, [
-                        i for i, v in enumerate(first.verdicts)
-                        if not (v.passed or v.filter_name == "distance")
+                    classes[key] = first.verdicts, first.surviving, [
+                        (i, name, w, _REASONS[name], (w["s_q"], w["s_q_prime"])
+                         if name == "dedekind" else ())
+                        for i, (name, passed, w) in enumerate(first.verdicts)
+                        if not (passed or name == "distance")
                     ]
                     yield first
                     continue
-                first, renamed = entry
-                verdicts = list(first.verdicts)
-                for i in renamed:
-                    verdicts[i] = _renamed(verdicts[i], p, q, q_prime)
-                yield PairVerdict(p, q, q_prime, tuple(verdicts),
-                                  first.surviving)
+                verdicts, surviving, refills = entry
+                if refills:
+                    verdicts = list(verdicts)
+                    for i, name, w, reason, args in refills:
+                        verdicts[i] = new(ObstructionVerdict, (name, False, {
+                            **w, "reason": reason(p, q, q_prime, *args)}))
+                    verdicts = tuple(verdicts)
+                yield new(PairVerdict, (p, q, q_prime, verdicts, surviving))
 
 
 def _distance_warnings(ps, qs, chosen, max_gap):
@@ -374,15 +369,6 @@ def _field(verdict, key):
         ) from None
 
 
-def _expect_field(verdict, key, value):
-    got = _field(verdict, key)
-    if got != value:
-        raise CrossCheckError(
-            f"{verdict.filter_name} witness {key} is {got!r} but "
-            f"the oracle gives {value!r}"
-        )
-
-
 # The oracles below read q only through q mod p, so within one verify
 # pass they are memoized per residue.  The memo is cleared whenever p
 # changes, and it never shares state with the engine's caches.
@@ -399,25 +385,18 @@ def _direct_sum_text(memo, x, p):
 
 def _unit_images(memo, x, p):
     # Exhaustive unit search: marks x * u^2 mod p for every unit u in
-    # 1..p-1.  The units come from one gcd scan per p.
+    # 1..p-1.  The units, and their squares, come from one gcd scan per p.
     key = ("images", x % p)
     images = memo.get(key)
     if images is None:
         units = memo.get("units")
         if units is None:
             units = memo["units"] = [u for u in range(1, p) if gcd(u, p) == 1]
+            memo["squares"] = sorted({u * u % p for u in units})
         images = memo[key] = bytearray(p)
         for u in units:
             images[x * u * u % p] = 1
     return images
-
-
-def _unit_square_list(memo, p):
-    squares = memo.get("squares")
-    if squares is None:
-        images = _unit_images(memo, 1, p)
-        squares = memo["squares"] = [r for r in range(p) if images[r]]
-    return squares
 
 
 def _trail_shape(chosen, coprime):
@@ -427,59 +406,98 @@ def _trail_shape(chosen, coprime):
             if name in chosen or name == "parity"]
 
 
-def _verify_one(record, shapes, memo):
-    p, q, q_prime = record.p, record.q, record.q_prime
+def _expect_witness(verdict, reason, **fields):
+    # Raises for the first missing or wrong field, else for the first key
+    # beyond the fields and, if `reason` is set, a "reason".
+    for key, value in fields.items():
+        if (got := _field(verdict, key)) != value:
+            raise CrossCheckError(f"{verdict.filter_name} witness {key} is "
+                                  f"{got!r} but the oracle gives {value!r}")
+    w = verdict.witness
+    for key in w if isinstance(w, dict) else [w]:
+        if key not in fields and not (reason and key == "reason"):
+            raise CrossCheckError(
+                f"{verdict.filter_name} witness has an extra key {key!r}")
+
+
+def _expectation(memo, p, q, q_prime, wanted):
+    # The oracles on each pair of the class of (q, q'): both gcds, each
+    # filter's pass/fail, the unit squares and both direct sums.
+    g, h = gcd(q, p), gcd(q_prime, p)
     # Both p/q and p/q' primitive, and neither the meridian 1/0.
-    coprime = 0 not in (q, q_prime) and (
-        gcd(q, p) == 1 and gcd(q_prime, p) == 1
-    )
-    names = [v.filter_name for v in record.verdicts]
+    coprime = 0 not in (q, q_prime) and g == h == 1
+    passes, squares, sums = {"parity": coprime}, None, (None, None)
+    if coprime and "congruence" in wanted:
+        passes["congruence"] = p == 1 or bool(
+            _unit_images(memo, q_prime, p)[q % p])
+        squares = memo.get("squares")
+    if coprime and "dedekind" in wanted:
+        sums = _direct_sum_text(memo, q, p), _direct_sum_text(memo, q_prime, p)
+        passes["dedekind"] = sums[0] == sums[1]
+    return coprime, g, h, passes, squares, *sums
+
+
+def _verify_one(record, shapes, memo):
+    # Against the class's expectation; _expect helpers run only to raise.
+    p, q, q_prime, verdicts, surviving = record
+    key = (q % p, q_prime % p, 0 in (q, q_prime))
+    expected = memo.get(key)
+    if expected is None:
+        expected = memo[key] = _expectation(
+            memo, p, q, q_prime, shapes[True] if shapes else FILTER_ORDER)
+    coprime, g, h, passes, squares, s_q, s_q_prime = expected
+    names = [v.filter_name for v in verdicts]
     expected_names = (_trail_shape(names, coprime) if shapes is None
                       else shapes[coprime])
     if names != expected_names:
-        raise CrossCheckError(
-            f"trail has filters {names}, expected {expected_names}"
-        )
-    for v in record.verdicts:
-        if v.filter_name == "distance":
-            delta = p * (q_prime - q)
-            _expect(v, delta <= EXCEPTIONAL_DISTANCE_BOUND)
-            _expect_field(v, "delta", delta)
-        elif v.filter_name == "parity":
-            _expect(v, coprime)
-            if coprime:
-                continue
-            # The reason must name what fails: each gcd, or the meridian.
-            causes = [
-                f"gcd({x}, {p}) = {gcd(x, p)}"
-                for x in (q, q_prime) if gcd(x, p) != 1
-            ] or ["meridian"]
-            reason = _field(v, "reason")
-            if not all(cause in reason for cause in causes):
-                raise CrossCheckError(f"parity witness {reason!r} does not "
-                                      f"name {' and '.join(causes)}")
-        elif v.filter_name == "congruence":
-            passed = p == 1 or bool(_unit_images(memo, q_prime, p)[q % p])
-            _expect(v, passed)
-            if not passed:
-                _expect_field(v, "unit_squares", _unit_square_list(memo, p))
-                continue
-            u = _field(v, "unit")
-            good = (u == 0) if p == 1 else (
-                1 <= u < p
-                and gcd(u, p) == 1
-                and (q - q_prime * u * u) % p == 0
-            )
-            if not good:
+        raise CrossCheckError(f"trail has filters {names}, expected "
+                              f"{expected_names}")
+    delta, all_passed = p * (q_prime - q), True
+    for v in verdicts:
+        name, passed, w = v
+        want = (delta <= EXCEPTIONAL_DISTANCE_BOUND if name == "distance"
+                else passes[name])
+        if passed != want:
+            _expect(v, want)
+        all_passed = all_passed and want
+        if name == "distance":
+            if (type(w) is not dict or w.get("delta") != delta
+                    or len(w) != 1 + (not want and "reason" in w)):
+                _expect_witness(v, not want, delta=delta)
+        elif name == "dedekind":
+            if (type(w) is not dict or w.get("s_q") != s_q
+                    or w.get("s_q_prime") != s_q_prime
+                    or len(w) != 2 + (not want and "reason" in w)):
+                _expect_witness(v, not want, s_q=s_q, s_q_prime=s_q_prime)
+        elif name == "congruence" and not want:
+            if (type(w) is not dict or w.get("unit_squares") != squares
+                    or len(w) != 1 + ("reason" in w)):
+                _expect_witness(v, True, unit_squares=squares)
+        elif name == "congruence":
+            u = w["unit"] if type(w) is dict and "unit" in w else (
+                _field(v, "unit"))
+            if not ((u == 0) if p == 1 else 1 <= u < p and gcd(u, p) == 1
+                    and (q - q_prime * u * u) % p == 0):
                 raise CrossCheckError(f"recorded congruence unit {u} does "
                                       f"not satisfy q = q' u^2 (mod {p})")
-        else:
-            s_q = _direct_sum_text(memo, q, p)
-            s_q_prime = _direct_sum_text(memo, q_prime, p)
-            _expect(v, s_q == s_q_prime)
-            _expect_field(v, "s_q", s_q)
-            _expect_field(v, "s_q_prime", s_q_prime)
-    if record.surviving != all(v.passed for v in record.verdicts):
+            if len(w) != 1:
+                _expect_witness(v, False, unit=u)
+        elif not want:
+            # A failing parity's reason names each gcd, or the meridian.
+            reason = w["reason"] if type(w) is dict and "reason" in w else (
+                _field(v, "reason"))
+            if (g != 1 and f"gcd({q}, {p}) = {g}" not in reason
+                    or h != 1 and f"gcd({q_prime}, {p}) = {h}" not in reason
+                    or g == h == 1 and "meridian" not in reason):
+                causes = " and ".join(f"gcd({x}, {p}) = {y}" for x, y in (
+                    (q, g), (q_prime, h)) if y != 1) or "meridian"
+                raise CrossCheckError(
+                    f"parity witness {reason!r} does not name {causes}")
+            if len(w) != 1:
+                _expect_witness(v, True)
+        elif w:
+            _expect_witness(v, False)
+    if surviving != all_passed:
         raise CrossCheckError("surviving flag is inconsistent with the trail")
 
 
@@ -497,13 +515,6 @@ def _verified(records, kind, filters):
             memo_p = record.p
         try:
             _verify_one(record, shapes, memo)
-            if kind == "family" and record.surviving and (
-                record.delta > EXCEPTIONAL_DISTANCE_BOUND
-            ):
-                raise CrossCheckError(
-                    f"survives at slope distance {record.delta} > "
-                    f"{EXCEPTIONAL_DISTANCE_BOUND}"
-                )
         except CrossCheckError as exc:
             raise CrossCheckError(
                 f"{kind} p={record.p} q={record.q} q'={record.q_prime}: {exc}"
@@ -516,10 +527,11 @@ def verify_pairs(pairs, *, filters=None):
 
     Uses the O(p) direct Dedekind sum and an exhaustive unit search,
     independent of the reciprocity fast path and square-root table the
-    engine ran with; within one call each oracle runs once per residue
-    q mod p, as it reads q only through that residue.  Every pass/fail
-    is recomputed, and so are the witness's delta, Dedekind values,
-    congruence unit and unit squares.  With `filters` (as for
+    engine ran with; in one call each runs once per residue q mod p, and
+    once per class (q mod p, q' mod p, whether q or q' is 0) for its
+    verdicts.  Every pass/fail is recomputed, and so are the witness's
+    delta, Dedekind values, congruence unit and unit squares; any other
+    witness key but a failing reason is rejected.  With `filters` (as for
     enumerate_pairs) a trail must hold exactly those filters and parity,
     in FILTER_ORDER, with congruence and Dedekind absent after a parity
     failure; without it, any in-order subset that includes parity is
@@ -532,6 +544,6 @@ def verify_pairs(pairs, *, filters=None):
 
 
 def verify_families(families):
-    """verify_pairs for residue families, which carry all four filters
-    and also may not survive beyond the exceptional distance bound."""
+    """verify_pairs for residue families, which carry all four filters,
+    so none survives beyond the exceptional distance bound."""
     return sum(1 for _ in _verified(families, "family", SELECTABLE_FILTERS))

@@ -143,13 +143,21 @@ def congruence_reason(p, q, q_prime):
     return f"no unit square maps {q_prime} to {q} mod {p}"
 
 
+def distance_reason(delta):
+    """The failing distance filter's witness text for slope distance delta."""
+    return (f"slope distance {delta} exceeds the exceptional bound "
+            f"{EXCEPTIONAL_DISTANCE_BOUND}")
+
+
 def parity_reason(p, q, q_prime):
     """Why p/q, p/q' is not a slope pair, or None when it is one."""
-    parts = [
-        f"gcd({x}, {p}) = {gcd(x, p)}" for x in (q, q_prime) if gcd(x, p) != 1
-    ]
-    if parts:
-        return " and ".join(parts) + ", so not a slope pair"
+    g, h = gcd(q, p), gcd(q_prime, p)
+    if g != 1 and h != 1:
+        return (f"gcd({q}, {p}) = {g} and gcd({q_prime}, {p}) = {h}, "
+                "so not a slope pair")
+    if g != 1 or h != 1:
+        x, y = (q, g) if g != 1 else (q_prime, h)
+        return f"gcd({x}, {p}) = {y}, so not a slope pair"
     if 0 in (q, q_prime):  # reached only for p = 1
         return ("1/0 is the meridian, whose filling is the trivial surgery, "
                 "so not a cosmetic pair")

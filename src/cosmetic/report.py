@@ -72,26 +72,45 @@ def _detail(verdicts):
     return "; ".join(notes)
 
 
+def _pattern_cells(verdicts, surviving, selected):
+    # A filter cell is pass/fail, "skipped" after a parity failure, or ""
+    # if switched off: cells read only the record's pattern.
+    by_name = {v.filter_name: v for v in verdicts}
+    skipped = "parity" in by_name and not by_name["parity"].passed
+    return [
+        ("pass" if by_name[name].passed else "fail")
+        if name in by_name
+        else "skipped" if name in selected and skipped else ""
+        for name in FILTER_ORDER
+    ] + ["yes" if surviving else "no"]
+
+
 def _cells(records, selected, tally):
     # (record, its filter and surviving cells), counting records by their
-    # surviving flag in `tally`.  A filter cell is pass/fail, "skipped"
-    # after a parity failure, or "" if switched off.  Cells read only the
-    # filter names, pass/fail pattern and flag: one build per pattern.
+    # surviving flag in `tally`; one build per pattern.
     table = {}
     for record in records:
         key = (record.surviving, *map(_PATTERN, record.verdicts))
         cells = table.get(key)
         if cells is None:
-            by_name = {v.filter_name: v for v in record.verdicts}
-            skipped = "parity" in by_name and not by_name["parity"].passed
-            cells = table[key] = [
-                ("pass" if by_name[name].passed else "fail")
-                if name in by_name
-                else "skipped" if name in selected and skipped else ""
-                for name in FILTER_ORDER
-            ] + ["yes" if record.surviving else "no"]
+            cells = table[key] = _pattern_cells(record.verdicts,
+                                                record.surviving, selected)
         tally[record.surviving] += 1
         yield record, cells
+
+
+def _csv_rows(records, selected):
+    # One line per sweep record: the joined cells are cached per pattern,
+    # and the detail is read from the record's own witnesses.
+    table = {}
+    for p, q, q_prime, verdicts, surviving in records:
+        key = (surviving, *map(_PATTERN, verdicts))
+        cells = table.get(key)
+        if cells is None:
+            cells = table[key] = ",".join(
+                _pattern_cells(verdicts, surviving, selected))
+        yield (f"{p},{q},{q_prime},{q_prime - q},{p * (q_prime - q)},"
+               f"{cells},{_csv_cell(_detail(verdicts))}")
 
 
 def _chunks(items):
@@ -212,6 +231,11 @@ def _classify_report(result, fmt, out):
 
 def _enumeration_report(result, fmt, out):
     # Read once, as they arrive: `result.pairs` may be a generator.
+    if fmt == "csv":
+        # Only the detail may need quoting: the rest are integers and words.
+        header = ["p", "q", "q_prime", "gap", "delta"] + _VERDICT_COLUMNS
+        return _lines(out, chain([",".join(header)],
+                                 _csv_rows(result.pairs, result.filters)))
     tally = Counter()
     rows = _cells(result.pairs, result.filters, tally)
     if fmt == "json":
@@ -232,13 +256,6 @@ def _enumeration_report(result, fmt, out):
         out.write(("\n  ]" if tally else "]")
                   + f',\n  "survivor_count": {tally[True]}\n}}\n')
         return
-    if fmt == "csv":
-        # Only the detail may need quoting: the rest are integers and words.
-        header = ["p", "q", "q_prime", "gap", "delta"] + _VERDICT_COLUMNS
-        return _lines(out, chain([",".join(header)], (
-            f"{pv.p},{pv.q},{pv.q_prime},{pv.gap},{pv.delta},"
-            f"{','.join(cells)},{_csv_cell(_detail(pv.verdicts))}"
-            for pv, cells in rows)))
     preamble = ["# Pair sweep", ""]
     for warning in result.warnings:
         preamble += [f"Note: {warning}", ""]

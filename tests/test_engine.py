@@ -259,9 +259,9 @@ def _corrupted(value):
 
 
 def _mutants(record):
-    """Each verdict flipped, dropped and with each checked witness field
-    corrupted, and the surviving flag flipped: every single-point
-    corruption of the record."""
+    """Each verdict flipped, dropped, with each checked witness field
+    corrupted and with a key its filter never writes, and the surviving
+    flag flipped: every single-point corruption of the record."""
     def rebuild(verdicts):
         return record._replace(verdicts=tuple(verdicts),
                                surviving=all(v.passed for v in verdicts))
@@ -279,6 +279,10 @@ def _mutants(record):
             bad = dict(v.witness, **{key: _corrupted(v.witness[key])})
             forged = ObstructionVerdict(v.filter_name, v.passed, bad)
             yield rebuild(trail[:i] + [forged] + trail[i + 1:])
+        for key in ["extra"] + ["reason"] * v.passed:
+            extra = ObstructionVerdict(v.filter_name, v.passed,
+                                       {**(v.witness or {}), key: "forged"})
+            yield rebuild(trail[:i] + [extra] + trail[i + 1:])
     yield record._replace(surviving=not record.surviving)
 
 
@@ -326,6 +330,86 @@ def test_verify_memoizes_oracles_per_residue(monkeypatch):
     verify_pairs(result.pairs, filters=result.filters)
     assert obstructions._unit_squares.cache_info() == before
     assert scans == [127, 131]
+
+
+def _swapped(record, verdict):
+    return record._replace(verdicts=tuple(
+        verdict if v.filter_name == verdict.filter_name else v
+        for v in record.verdicts
+    ))
+
+
+def _error(check, records, **kwargs):
+    with pytest.raises(CrossCheckError) as info:
+        check(records, **kwargs)
+    return str(info.value)
+
+
+def test_verify_error_texts_are_pinned():
+    # The CLI prints these on exit 2, one per kind of disagreement.
+    (p7,) = run_enumeration([7], [1, 2]).pairs
+    (p5,) = run_enumeration([5], [2, 3]).pairs
+    (p6,) = run_enumeration([6], [2, 3]).pairs
+    (meridian,) = run_enumeration([1], [0, 1]).pairs
+    dedekind = p7.verdicts[3]
+    at = "pair p=7 q=1 q'=2: "
+    dropped = p7._replace(verdicts=p7.verdicts[:3], surviving=True)
+    assert _error(verify_pairs, [dropped], filters="all") == (
+        at + "trail has filters ['distance', 'parity', 'congruence'], "
+        "expected ['distance', 'parity', 'congruence', 'dedekind']")
+    flipped = _swapped(p7, dedekind._replace(passed=True))
+    assert _error(verify_pairs, [flipped._replace(surviving=True)]) == (
+        at + "dedekind verdict says pass but the oracle says fail")
+    stripped = _swapped(p7, dedekind._replace(witness={"reason": "none"}))
+    assert _error(verify_pairs, [stripped]) == (
+        at + "dedekind witness has no 's_q'")
+    wrong = _swapped(p7, dedekind._replace(
+        witness={**dedekind.witness, "s_q_prime": "1/2"}))
+    assert _error(verify_pairs, [wrong]) == (
+        at + "dedekind witness s_q_prime is '1/2' but the oracle gives "
+        "'1/14'")
+    half = ObstructionVerdict(
+        "parity", False, {"reason": "gcd(2, 6) = 2, so not a slope pair"})
+    assert _error(verify_pairs, [_swapped(p6, half)]) == (
+        "pair p=6 q=2 q'=3: parity witness 'gcd(2, 6) = 2, so not a slope "
+        "pair' does not name gcd(2, 6) = 2 and gcd(3, 6) = 3")
+    forged = ObstructionVerdict("parity", False, {"reason": "forged"})
+    assert _error(verify_pairs, [_swapped(meridian, forged)]) == (
+        "pair p=1 q=0 q'=1: parity witness 'forged' does not name meridian")
+    unit = ObstructionVerdict("congruence", True, {"unit": 4})
+    assert _error(verify_pairs, [_swapped(p5, unit)]) == (
+        "pair p=5 q=2 q'=3: recorded congruence unit 4 does not satisfy "
+        "q = q' u^2 (mod 5)")
+    assert _error(verify_pairs, [p7._replace(surviving=True)]) == (
+        at + "surviving flag is inconsistent with the trail")
+    family = classify_candidates(1)[-1]
+    assert family.gap == 8 and family.surviving
+    beyond = family._replace(q_prime=10, verdicts=(
+        ObstructionVerdict("distance", True, {"delta": 9}),
+        *family.verdicts[1:]))
+    assert _error(verify_families, [beyond]) == (
+        "family p=1 q=1 q'=10: distance verdict says pass but the oracle "
+        "says fail")
+    extra = _swapped(p7, dedekind._replace(
+        witness={**dedekind.witness, "unit": 1}))
+    assert _error(verify_pairs, [extra]) == (
+        at + "dedekind witness has an extra key 'unit'")
+
+
+def test_verify_builds_each_class_expectation_once(monkeypatch):
+    calls = []
+
+    def counted(memo, p, q, q_prime, wanted):
+        calls.append((p, q % p, q_prime % p, 0 in (q, q_prime)))
+        return expectation(memo, p, q, q_prime, wanted)
+
+    expectation = engine._expectation
+    monkeypatch.setattr(engine, "_expectation", counted)
+    sweep = enumerate_pairs(range(1, 9), range(50000, 51200))
+    assert verify_pairs(sweep, filters="all") == 8 * (1200 * 8 - 36)
+    assert len(calls) == len(set(calls))
+    for p in range(1, 9):
+        assert sum(1 for key in calls if key[0] == p) <= p * 8
 
 
 def _pairwise(ps, qs, filters):

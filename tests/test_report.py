@@ -153,6 +153,42 @@ def test_csv_cells_are_quoted_as_the_csv_module_quotes_them():
         lambda r, reason: [r.p, r.q_residue, r.gap, r.delta, *cells, reason])
 
 
+def test_csv_rows_read_only_their_own_witnesses():
+    # Records no class table makes.  Rows that share a pattern share the
+    # cells text, but each detail comes from its own record.
+    def record(q, unit, dedekind):
+        return PairVerdict(7, q, q + 1, (
+            ObstructionVerdict("distance", True, {"delta": 7}),
+            ObstructionVerdict("parity", True),
+            ObstructionVerdict("congruence", True, {"unit": unit}),
+            ObstructionVerdict("dedekind", False, dedekind),
+        ), False)
+
+    def parity_fail(q, witness):
+        return PairVerdict(2, q, q + 2, (
+            ObstructionVerdict("distance", True, {"delta": 4}),
+            ObstructionVerdict("parity", False, witness),
+        ), False)
+
+    sums = {"s_q": "5/14", "s_q_prime": "1/14"}
+    sweep = EnumerationResult((
+        record(1, 3, sums),
+        record(8, 0, {**sums, "reason": 'say "no", twice'}),
+        record(15, 3, {**sums, "reason": "plain"}),
+        record(22, 0, {**sums, "reason": "plain"}),
+        parity_fail(2, {"reason": "even, even"}),
+        parity_fail(4, {}),
+    ), ("distance", "congruence", "dedekind"), 8, ())
+    assert emit_report(sweep, "csv").splitlines()[1:] == [
+        "7,1,2,1,7,pass,pass,pass,fail,no,unit 3",
+        '7,8,9,1,7,pass,pass,pass,fail,no,"say ""no"", twice"',
+        "7,15,16,1,7,pass,pass,pass,fail,no,unit 3; plain",
+        "7,22,23,1,7,pass,pass,pass,fail,no,plain",
+        '2,2,4,2,4,pass,fail,skipped,skipped,no,"even, even"',
+        "2,4,6,2,4,pass,fail,skipped,skipped,no,",
+    ]
+
+
 # Report builders for the byte-golden check, one per report kind and
 # enumeration setting that changes the layout.
 GOLDEN_CASES = {
