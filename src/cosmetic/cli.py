@@ -190,7 +190,9 @@ def _add_no_verify(parser):
     )
 
 
-def _build_parser():
+def _build_parser(command):
+    # Every subcommand's name and help, but the arguments of `command`, the
+    # first word of the command line (the top level has only -h), alone.
     parser = argparse.ArgumentParser(
         prog="cosmetic",
         description=(
@@ -201,114 +203,122 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dedekind", help="Dedekind sum s(q, p)")
-    p.add_argument("q", type=int)
-    p.add_argument("p", type=int)
-    p.set_defaults(handler=cmd_dedekind)
+    if command == "dedekind":
+        for name in ("q", "p"):
+            p.add_argument(name, type=int)
+        p.set_defaults(handler=cmd_dedekind)
 
     casson = sub.add_parser("casson", help="Casson invariant computations")
-    casson_sub = casson.add_subparsers(dest="subcommand", required=True)
-    p = casson_sub.add_parser("lens", help="Casson invariant of L(p, q)")
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-    p.set_defaults(handler=cmd_casson_lens)
-    p = casson_sub.add_parser(
-        "surgery", help="Casson invariant of p/q surgery on a knot"
-    )
-    p.add_argument(
-        "--lambda-y", default="0/1",
-        help="Casson invariant of the ambient homology sphere (default 0/1)",
-    )
-    p.add_argument(
-        "--delta2", type=int, default=0,
-        help="Alexander second derivative at t = 1 (default 0)",
-    )
-    p.add_argument("slope", help="surgery coefficient p/q")
-    p.set_defaults(handler=cmd_casson_surgery)
-    p = casson_sub.add_parser(
-        "delta2",
-        help="second derivative at t = 1 of an Alexander polynomial "
-             'given as a JSON map, e.g. \'{"-1": 1, "0": -3, "1": 1}\'',
-    )
-    p.add_argument("polynomial")
-    p.set_defaults(handler=cmd_casson_delta2)
+    if command == "casson":
+        nested = casson.add_subparsers(dest="subcommand", required=True)
+        p = nested.add_parser("lens", help="Casson invariant of L(p, q)")
+        for name in ("p", "q"):
+            p.add_argument(name, type=int)
+        p.set_defaults(handler=cmd_casson_lens)
+        p = nested.add_parser(
+            "surgery", help="Casson invariant of p/q surgery on a knot"
+        )
+        p.add_argument(
+            "--lambda-y", default="0/1", help="Casson invariant of the "
+            "ambient homology sphere (default 0/1)",
+        )
+        p.add_argument(
+            "--delta2", type=int, default=0,
+            help="Alexander second derivative at t = 1 (default 0)",
+        )
+        p.add_argument("slope", help="surgery coefficient p/q")
+        p.set_defaults(handler=cmd_casson_surgery)
+        p = nested.add_parser(
+            "delta2",
+            help="second derivative at t = 1 of an Alexander polynomial "
+                 'given as a JSON map, e.g. \'{"-1": 1, "0": -3, "1": 1}\'',
+        )
+        p.add_argument("polynomial")
+        p.set_defaults(handler=cmd_casson_delta2)
 
     p = sub.add_parser(
         "congruence", help="linking-form congruence q = q' u^2 (mod p)"
     )
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-    p.add_argument("q_prime", type=int)
-    p.set_defaults(handler=cmd_congruence)
+    if command == "congruence":
+        for name in ("p", "q", "q_prime"):
+            p.add_argument(name, type=int)
+        p.set_defaults(handler=cmd_congruence)
 
     homology = sub.add_parser("homology", help="first homology of fillings")
-    homology_sub = homology.add_subparsers(dest="subcommand", required=True)
-    p = homology_sub.add_parser(
-        "watson", help="|H_1| of a filling from the linear order formula"
-    )
-    p.add_argument("--c", type=int, default=1, help="homology constant c_M")
-    p.add_argument(
-        "--shift", type=int, default=0,
-        help="framing shift into the rational-longitude basis",
-    )
-    p.add_argument("slope")
-    p.set_defaults(handler=cmd_homology_watson)
-    p = homology_sub.add_parser(
-        "link", help="|H_1| of surgery on a two-component link"
-    )
-    p.add_argument("--lk", type=int, default=0, help="linking number")
-    p.add_argument("framing1")
-    p.add_argument("framing2")
-    p.set_defaults(handler=cmd_homology_link)
+    if command == "homology":
+        nested = homology.add_subparsers(dest="subcommand", required=True)
+        p = nested.add_parser(
+            "watson", help="|H_1| of a filling from the linear order formula"
+        )
+        p.add_argument("--c", type=int, default=1,
+                       help="homology constant c_M")
+        p.add_argument("--shift", type=int, default=0, help="framing shift "
+                       "into the rational-longitude basis")
+        p.add_argument("slope")
+        p.set_defaults(handler=cmd_homology_watson)
+        p = nested.add_parser(
+            "link", help="|H_1| of surgery on a two-component link"
+        )
+        p.add_argument("--lk", type=int, default=0, help="linking number")
+        p.add_argument("framing1")
+        p.add_argument("framing2")
+        p.set_defaults(handler=cmd_homology_link)
 
     census = sub.add_parser("census", help="the candidate exterior census")
-    census_sub = census.add_subparsers(dest="subcommand", required=True)
-    p = census_sub.add_parser("show", help="one census record and its verdict")
-    p.add_argument("id", help='census id such as M8 or "W(-5/2)"')
-    p.add_argument("--census-file", default=None)
-    p.set_defaults(handler=cmd_census_show)
+    if command == "census":
+        nested = census.add_subparsers(dest="subcommand", required=True)
+        p = nested.add_parser("show", help="one census record and its verdict")
+        p.add_argument("id", help='census id such as M8 or "W(-5/2)"')
+        p.add_argument("--census-file", default=None)
+        p.set_defaults(handler=cmd_census_show)
 
     p = sub.add_parser(
         "classify", help="verdict trails for every residue family of one p"
     )
-    p.add_argument("--p", type=int, required=True)
-    _add_format(p, "json")
-    _add_no_verify(p)
-    p.set_defaults(handler=cmd_classify)
+    if command == "classify":
+        p.add_argument("--p", type=int, required=True)
+        _add_format(p, "json")
+        _add_no_verify(p)
+        p.set_defaults(handler=cmd_classify)
 
     p = sub.add_parser(
         "replicate-theorem",
         help="rebuild the case-by-case classification from the filters",
     )
-    _add_format(p, "markdown")
-    _add_no_verify(p)
-    p.add_argument("--census-file", default=None)
-    p.set_defaults(handler=cmd_replicate)
+    if command == "replicate-theorem":
+        _add_format(p, "markdown")
+        _add_no_verify(p)
+        p.add_argument("--census-file", default=None)
+        p.set_defaults(handler=cmd_replicate)
 
     p = sub.add_parser(
         "enumerate", help="bulk sweep of concrete (p/q, p/q') pairs"
     )
-    p.add_argument("--p", required=True, help="range a..b or single value")
-    p.add_argument("--q", required=True, help="range a..b or single value")
-    p.add_argument(
-        "--filters", default="all",
-        help="all, or comma-separated subset of "
-             "distance,congruence,dedekind (parity always runs)",
-    )
-    p.add_argument("--max-gap", type=int, default=8)
-    p.add_argument(
-        "--jobs", type=int, default=1,
-        help="at least 1; the sweep runs in one process and the output "
-             "never depends on it",
-    )
-    _add_format(p, "csv")
-    _add_no_verify(p)
-    p.set_defaults(handler=cmd_enumerate)
+    if command == "enumerate":
+        for name in ("--p", "--q"):
+            p.add_argument(name, required=True,
+                           help="range a..b or single value")
+        p.add_argument(
+            "--filters", default="all",
+            help="all, or comma-separated subset of "
+                 "distance,congruence,dedekind (parity always runs)",
+        )
+        p.add_argument("--max-gap", type=int, default=8)
+        p.add_argument(
+            "--jobs", type=int, default=1,
+            help="at least 1; the sweep runs in one process and the output "
+                 "never depends on it",
+        )
+        _add_format(p, "csv")
+        _add_no_verify(p)
+        p.set_defaults(handler=cmd_enumerate)
 
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(next((a for a in argv if a[:1] != "-"), None))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -21,7 +21,9 @@ p = 300) and return exact `fractions.Fraction` values.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import gcd
+from operator import mod, mul, sub
 
 
 def sawtooth(x):
@@ -45,24 +47,20 @@ def _check_pair(q, p):
 def dedekind_sum_direct(q, p):
     """The defining O(p) sum.  Reference implementation.
 
-    For 0 < k < |p| with p not dividing k*q, the k-th term is
+    For 0 < k < |p| the k-th term, with r = kq mod |p| (never 0, as q
+    is coprime to p), is
 
-        ((k/|p|)) ((kq/|p|)) = (2k - |p|) (2(kq mod |p|) - |p|) / (4 p^2),
+        ((k/|p|)) ((kq/|p|)) = (2k - |p|) (2r - |p|) / (4 p^2),
 
-    so the whole sum is accumulated as one integer over the common
-    denominator 4 p^2.  That keeps this the literal direct sum while
-    staying fast enough to sweep tens of thousands of pairs in tests.
+    so the whole sum is accumulated term by term, by `map` over `range`
+    in C, as one integer over the common denominator 4 p^2.
     """
     _check_pair(q, p)
     ap = abs(p)
-    num = 0
-    for k in range(1, ap):
-        r = (k * q) % ap
-        if r == 0:
-            continue
-        num += (2 * k - ap) * (2 * r - ap)
-    sign = 1 if p > 0 else -1
-    return sign * Fraction(num, 4 * p * p)
+    twice_r = (map(mod, range(2 * q, 2 * q * ap, 2 * q), repeat(2 * ap))
+               if ap > 1 else ())
+    num = sum(map(mul, range(2 - ap, ap, 2), map(sub, twice_r, repeat(ap))))
+    return Fraction(num if p > 0 else -num, 4 * p * p)
 
 
 @lru_cache(maxsize=4096)
@@ -89,3 +87,9 @@ def scaled_dedekind_sum(q, p):
 def dedekind_sum_fast(q, p):
     """s(q, p) = T(q, p) / 12 |p|, by the O(log p) integer recurrence."""
     return Fraction(scaled_dedekind_sum(q, p), 12 * abs(p))
+
+
+def sum_text(t, p):
+    """s = T / 12|p| for T = T(q, p), in lowest terms, written "n/d"."""
+    g = gcd(t, 12 * abs(p))
+    return f"{t // g}/{12 * abs(p) // g}"

@@ -7,38 +7,39 @@ families.  `classify_candidates` runs every family for one p through the
 distance, parity, linking-congruence and Dedekind filters;
 `replicate_theorem` assembles the survivors for p = 1..8 into the
 case-by-case classification table; `enumerate_pairs` sweeps concrete
-(q, q') pairs in bulk, in one process.  A sweep runs the filters once per
-residue class of each p and refills per pair only the witness texts that
-name q.  A family is the pair at its smallest positive q, so families and
-concrete pairs share one record type, `PairVerdict`.
+(q, q') pairs in bulk, in one process.  A sweep reads q once per residue
+q mod p, runs the filters once per residue class of each p and refills
+per pair only the witness texts that name q.  A family is the pair at
+its smallest positive q, so families and concrete pairs share one record
+type, `PairVerdict`.
 
 Every verdict the engine produces can be re-derived from first
 principles: `verify_families` and `verify_pairs` recompute each filter
 from its definitional oracle (the O(p) direct Dedekind sum, exhaustive
 unit search) and raise CrossCheckError on any disagreement.  Those
 oracles read q only through q mod p, so one verify pass memoizes them
-per residue and their verdicts per class; they never read the engine's
-square-root table or reciprocity cache.  The CLI exits 2 on a mismatch.
+per residue and their verdicts per class, apart from every table and
+cache of the engine.  The CLI exits 2 on a mismatch.
 """
 
 from collections import namedtuple
 from math import gcd
 
 from . import CrossCheckError
-from .dedekind import dedekind_sum_direct
-from .invariants import cosmetic_dedekind_obstruction, dedekind_reason
+from .dedekind import dedekind_sum_direct, scaled_dedekind_sum, sum_text
 from .obstructions import (
     EXCEPTIONAL_DISTANCE_BOUND,
     GeometryClass,
     ObstructionVerdict,
     congruence_reason,
+    congruence_verdict,
+    dedekind_reason,
+    dedekind_verdict,
     distance_cap,
     distance_reason,
-    linking_congruence,
-    parity_filter,
     parity_reason,
+    parity_verdict,
 )
-from .slopes import format_rational
 
 # Canonical filter order for verdict trails and report columns.  Parity
 # always runs; the other three can be switched off in bulk sweeps.
@@ -157,12 +158,28 @@ def _normalize_filters(filters):
     return tuple(name for name in SELECTABLE_FILTERS if name in filters)
 
 
-def _evaluate(p, q, q_prime, filters):
+class _Residues(dict):
+    """Facts of each residue r = q mod p, built on first lookup: gcd(r, p)
+    and, for a unit r, T(r, p) = 12 p s(r, p), the text of s, r^-1 mod p."""
+
+    def __init__(self, p):
+        self.p = p
+
+    def __missing__(self, r):
+        p, facts = self.p, (gcd(r, self.p), None, None, None)
+        if facts[0] == 1:
+            t = scaled_dedekind_sum(r, p)
+            facts = 1, t, sum_text(t, p), pow(r, -1, p)
+        self[r] = facts
+        return facts
+
+
+def _evaluate(p, q, q_prime, filters, residues):
     """Run the filter chain on one pair; returns its PairVerdict.
 
-    Parity always runs.  Congruence and Dedekind are only defined for
-    coprime pairs, so they are skipped (and the pair cannot survive)
-    when parity fails.
+    `residues` is the _Residues table of p.  Parity always runs.
+    Congruence and Dedekind are only defined for coprime pairs, so they
+    are skipped (and the pair cannot survive) when parity fails.
     """
     verdicts = []
     if "distance" in filters:
@@ -172,13 +189,17 @@ def _evaluate(p, q, q_prime, filters):
         if not passed:
             witness["reason"] = distance_reason(delta)
         verdicts.append(ObstructionVerdict("distance", passed, witness))
-    parity = parity_filter(p, q, q_prime)
+    g, t_q, s_q, q_inverse = residues[q % p]
+    h, t_q_prime, s_q_prime, q_prime_inverse = residues[q_prime % p]
+    parity = parity_verdict(p, q, q_prime, g, h)
     verdicts.append(parity)
     if parity.passed:
         if "congruence" in filters:
-            verdicts.append(linking_congruence(p, q, q_prime))
+            verdicts.append(congruence_verdict(p, q, q_prime, q_inverse,
+                                               q_prime_inverse))
         if "dedekind" in filters:
-            verdicts.append(cosmetic_dedekind_obstruction(p, q, q_prime))
+            verdicts.append(dedekind_verdict(p, q, q_prime, t_q, t_q_prime,
+                                             s_q, s_q_prime))
     surviving = all(v.passed for v in verdicts)
     return PairVerdict(p, q, q_prime, tuple(verdicts), surviving)
 
@@ -194,11 +215,11 @@ def classify_candidates(p):
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
-    families = []
+    families, residues = [], _Residues(p)
     for gap in range(1, EXCEPTIONAL_DISTANCE_BOUND // p + 1):
         for residue in range(p):
             q = residue if residue else p
-            families.append(_evaluate(p, q, q + gap, FILTER_ORDER))
+            families.append(_evaluate(p, q, q + gap, FILTER_ORDER, residues))
     return families
 
 
@@ -277,10 +298,11 @@ def enumerate_pairs(p_values, q_values, filters="all", max_gap=None, jobs=1):
     distance/congruence/dedekind; parity always runs, and when it fails
     the remaining filters are reported as skipped.  The sweep runs in
     this process: `jobs` must be at least 1 and never changes the output.
-    For each p the filter chain runs once per residue class.  A class
-    keeps its first record's verdicts, shared read-only by its later
-    pairs, and each failing verdict whose reason names q with that
-    reason's formatter: a later pair gets its own copy of those witnesses.
+    For each p the filter chain runs once per residue class, on facts
+    built once per residue q mod p (_Residues).  Later pairs share the
+    class's first verdicts read-only; at its first reuse the class lists
+    each failing verdict whose reason names q, with its formatter, and a
+    later pair gets its own copy of those witnesses.
     """
     ps, qs, chosen, max_gap = _sweep_settings(p_values, q_values, filters,
                                               max_gap, jobs)
@@ -288,7 +310,7 @@ def enumerate_pairs(p_values, q_values, filters="all", max_gap=None, jobs=1):
     for p in ps:
         # At p = 1 a pair holding q = 0 (the meridian) is a class of its
         # own.  Later records skip __new__'s checks: the first passed them.
-        classes = {}
+        classes, residues = {}, _Residues(p)
         for q in qs:
             for gap in range(1, max_gap + 1):
                 q_prime = q + gap
@@ -297,15 +319,18 @@ def enumerate_pairs(p_values, q_values, filters="all", max_gap=None, jobs=1):
                 key = (q % p, gap, 0 in (q, q_prime))
                 entry = classes.get(key)
                 if entry is None:
-                    first = _evaluate(p, q, q_prime, chosen)
-                    classes[key] = first.verdicts, first.surviving, [
-                        (i, name, w, _REASONS[name], (w["s_q"], w["s_q_prime"])
-                         if name == "dedekind" else ())
-                        for i, (name, passed, w) in enumerate(first.verdicts)
-                        if not (passed or name == "distance")
-                    ]
+                    classes[key] = first = _evaluate(p, q, q_prime, chosen,
+                                                     residues)
                     yield first
                     continue
+                if type(entry) is PairVerdict:  # the class's first reuse
+                    gcds = residues[key[0]][0], residues[q_prime % p][0]
+                    entry = classes[key] = entry.verdicts, entry.surviving, [
+                        (i, name, w, _REASONS[name], gcds if name == "parity"
+                         else () if name == "congruence"
+                         else (w["s_q"], w["s_q_prime"]))
+                        for i, (name, passed, w) in enumerate(entry.verdicts)
+                        if not (passed or name == "distance")]
                 verdicts, surviving, refills = entry
                 if refills:
                     verdicts = list(verdicts)
@@ -373,30 +398,25 @@ def _field(verdict, key):
 # pass they are memoized per residue.  The memo is cleared whenever p
 # changes, and it never shares state with the engine's caches.
 
-def _direct_sum_text(memo, x, p):
-    # s(x, p) by the direct sum, as the witness writes it.  Fractions are
-    # in lowest terms, so equal texts mean equal sums.
-    key = ("sum", x % p)
-    text = memo.get(key)
-    if text is None:
-        text = memo[key] = format_rational(dedekind_sum_direct(x, p))
-    return text
-
-
-def _unit_images(memo, x, p):
-    # Exhaustive unit search: marks x * u^2 mod p for every unit u in
-    # 1..p-1.  The units, and their squares, come from one gcd scan per p.
-    key = ("images", x % p)
-    images = memo.get(key)
-    if images is None:
-        units = memo.get("units")
-        if units is None:
-            units = memo["units"] = [u for u in range(1, p) if gcd(u, p) == 1]
-            memo["squares"] = sorted({u * u % p for u in units})
-        images = memo[key] = bytearray(p)
-        for u in units:
-            images[x * u * u % p] = 1
-    return images
+def _oracle_facts(memo, r, p, wanted):
+    # For 0 <= r < p: gcd(r, p) and, for a unit r, the direct sum's text
+    # (in lowest terms, so equal texts mean equal sums) and the marks
+    # r u^2 mod p over the unit squares u^2, from one scan of the units.
+    facts = memo.get(r)
+    if facts is None:
+        g, text, images = gcd(r, p), None, None
+        if g == 1 and "dedekind" in wanted:
+            s = dedekind_sum_direct(r, p)
+            text = f"{s.numerator}/{s.denominator}"
+        if g == 1 and "congruence" in wanted:
+            squares = memo.get("squares") or memo.setdefault(
+                "squares", sorted({u * u % p for u in range(1, p)
+                                   if gcd(u, p) == 1}))
+            images = bytearray(p)
+            for square in squares:
+                images[r * square % p] = 1
+        facts = memo[r] = g, text, images
+    return facts
 
 
 def _trail_shape(chosen, coprime):
@@ -407,12 +427,14 @@ def _trail_shape(chosen, coprime):
 
 
 def _expect_witness(verdict, reason, **fields):
-    # Raises for the first missing or wrong field, else for the first key
-    # beyond the fields and, if `reason` is set, a "reason".
+    # Raises for the first missing or wrong field, then, if `reason` is
+    # set, for a missing "reason", else for the first key beyond these.
     for key, value in fields.items():
         if (got := _field(verdict, key)) != value:
             raise CrossCheckError(f"{verdict.filter_name} witness {key} is "
                                   f"{got!r} but the oracle gives {value!r}")
+    if reason:
+        _field(verdict, "reason")
     w = verdict.witness
     for key in w if isinstance(w, dict) else [w]:
         if key not in fields and not (reason and key == "reason"):
@@ -423,18 +445,16 @@ def _expect_witness(verdict, reason, **fields):
 def _expectation(memo, p, q, q_prime, wanted):
     # The oracles on each pair of the class of (q, q'): both gcds, each
     # filter's pass/fail, the unit squares and both direct sums.
-    g, h = gcd(q, p), gcd(q_prime, p)
+    g, s_q, _ = _oracle_facts(memo, q % p, p, wanted)
+    h, s_q_prime, images = _oracle_facts(memo, q_prime % p, p, wanted)
     # Both p/q and p/q' primitive, and neither the meridian 1/0.
     coprime = 0 not in (q, q_prime) and g == h == 1
-    passes, squares, sums = {"parity": coprime}, None, (None, None)
+    passes = {"parity": coprime}
     if coprime and "congruence" in wanted:
-        passes["congruence"] = p == 1 or bool(
-            _unit_images(memo, q_prime, p)[q % p])
-        squares = memo.get("squares")
+        passes["congruence"] = p == 1 or bool(images[q % p])
     if coprime and "dedekind" in wanted:
-        sums = _direct_sum_text(memo, q, p), _direct_sum_text(memo, q_prime, p)
-        passes["dedekind"] = sums[0] == sums[1]
-    return coprime, g, h, passes, squares, *sums
+        passes["dedekind"] = s_q == s_q_prime
+    return coprime, g, h, passes, memo.get("squares"), s_q, s_q_prime
 
 
 def _verify_one(record, shapes, memo):
@@ -460,18 +480,19 @@ def _verify_one(record, shapes, memo):
         if passed != want:
             _expect(v, want)
         all_passed = all_passed and want
+        # A witness holds its fields, plus a reason exactly when it fails.
         if name == "distance":
             if (type(w) is not dict or w.get("delta") != delta
-                    or len(w) != 1 + (not want and "reason" in w)):
+                    or len(w) != 2 - want or want == ("reason" in w)):
                 _expect_witness(v, not want, delta=delta)
         elif name == "dedekind":
             if (type(w) is not dict or w.get("s_q") != s_q
                     or w.get("s_q_prime") != s_q_prime
-                    or len(w) != 2 + (not want and "reason" in w)):
+                    or len(w) != 3 - want or want == ("reason" in w)):
                 _expect_witness(v, not want, s_q=s_q, s_q_prime=s_q_prime)
         elif name == "congruence" and not want:
             if (type(w) is not dict or w.get("unit_squares") != squares
-                    or len(w) != 1 + ("reason" in w)):
+                    or len(w) != 2 or "reason" not in w):
                 _expect_witness(v, True, unit_squares=squares)
         elif name == "congruence":
             u = w["unit"] if type(w) is dict and "unit" in w else (
@@ -526,12 +547,14 @@ def verify_pairs(pairs, *, filters=None):
     """Re-derive every pair verdict from definitional oracles.
 
     Uses the O(p) direct Dedekind sum and an exhaustive unit search,
-    independent of the reciprocity fast path and square-root table the
-    engine ran with; in one call each runs once per residue q mod p, and
-    once per class (q mod p, q' mod p, whether q or q' is 0) for its
-    verdicts.  Every pass/fail is recomputed, and so are the witness's
-    delta, Dedekind values, congruence unit and unit squares; any other
-    witness key but a failing reason is rejected.  With `filters` (as for
+    independent of the residue table, reciprocity fast path and square
+    roots the engine ran with.  In one call, per residue q mod p, the gcd,
+    the direct sum and the images q u^2 of the unit squares (from one
+    scan of the units) are built once, and the verdicts once per class
+    (q mod p, q' mod p, whether q or q' is 0).  Every pass/fail is
+    recomputed, and so are the witness's delta, Dedekind values,
+    congruence unit and unit squares; a failing verdict needs a reason,
+    and any other witness key is rejected.  With `filters` (as for
     enumerate_pairs) a trail must hold exactly those filters and parity,
     in FILTER_ORDER, with congruence and Dedekind absent after a parity
     failure; without it, any in-order subset that includes parity is

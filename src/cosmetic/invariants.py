@@ -24,8 +24,8 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
-from .dedekind import dedekind_sum_fast, scaled_dedekind_sum
-from .obstructions import ObstructionVerdict
+from .dedekind import dedekind_sum_fast, scaled_dedekind_sum, sum_text
+from .obstructions import dedekind_verdict
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -150,19 +150,5 @@ def cosmetic_dedekind_obstruction(p, q, q_prime):
     Dedekind sums, compared as integers over 12 p.  The witness records
     both values either way."""
     t_q, t_q_prime = scaled_dedekind_sum(q, p), scaled_dedekind_sum(q_prime, p)
-    s_q, s_q_prime = _sum_text(t_q, p), _sum_text(t_q_prime, p)
-    witness = {"s_q": s_q, "s_q_prime": s_q_prime}
-    if t_q != t_q_prime:
-        witness["reason"] = dedekind_reason(p, q, q_prime, s_q, s_q_prime)
-    return ObstructionVerdict("dedekind", t_q == t_q_prime, witness)
-
-
-def _sum_text(t, p):
-    # T / 12|p| in lowest terms, as format_rational writes it.
-    g = gcd(t, 12 * abs(p))
-    return f"{t // g}/{12 * abs(p) // g}"
-
-
-def dedekind_reason(p, q, q_prime, s_q, s_q_prime):
-    """The failing Dedekind witness text, from the two formatted sums."""
-    return f"s({q}, {p}) = {s_q} but s({q_prime}, {p}) = {s_q_prime}"
+    return dedekind_verdict(p, q, q_prime, t_q, t_q_prime, sum_text(t_q, p),
+                            sum_text(t_q_prime, p))

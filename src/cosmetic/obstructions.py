@@ -99,13 +99,6 @@ def unit_squares_mod(p):
     return set(_unit_squares(p))
 
 
-def _smallest_unit_witness(p, q, q2):
-    # Smallest u in [1, p-1] with gcd(u, p) = 1 and q = q2 * u^2 (mod p),
-    # or None.  For a unit q2 that is the smallest root of u^2 = q / q2,
-    # read from the per-p square-root table.
-    return _unit_squares(p).get(q * pow(q2, -1, p) % p)
-
-
 def linking_congruence(p, q, q_prime):
     """Do the linking forms of p/q and p/q' surgery agree?
 
@@ -121,26 +114,43 @@ def linking_congruence(p, q, q_prime):
         raise ValueError("p must be a positive integer")
     if gcd(q, p) != 1 or gcd(q_prime, p) != 1:
         raise ValueError("linking congruence needs gcd(q, p) = gcd(q', p) = 1")
-    if p == 1:
-        return ObstructionVerdict("congruence", True, {"unit": 0})
-    # Pick the witness from a residue-ordered canonical side so that the
-    # swapped call returns exactly the inverse unit.
-    x, y = q % p, q_prime % p
-    if x <= y:
-        u = _smallest_unit_witness(p, q, q_prime)
+    return congruence_verdict(p, q, q_prime, pow(q, -1, p),
+                              pow(q_prime, -1, p))
+
+
+def congruence_verdict(p, q, q_prime, q_inverse, q_prime_inverse):
+    """linking_congruence from q^-1 and q'^-1 mod p.  The witness is the
+    smallest root of q / q' (or the inverse of that of q' / q) on a
+    residue-ordered side, so swapping q and q' inverts it."""
+    roots = _unit_squares(p)
+    if q % p <= q_prime % p:
+        u = roots.get(q * q_prime_inverse % p)
     else:
-        v = _smallest_unit_witness(p, q_prime, q)
+        v = roots.get(q_prime * q_inverse % p)
         u = None if v is None else pow(v, -1, p)
-    if u is None:
-        witness = {"reason": congruence_reason(p, q, q_prime),
-                   "unit_squares": list(_unit_squares(p))}
-        return ObstructionVerdict("congruence", False, witness)
-    return ObstructionVerdict("congruence", True, {"unit": u})
+    if u is not None:
+        return ObstructionVerdict("congruence", True, {"unit": u})
+    return ObstructionVerdict("congruence", False, {
+        "reason": congruence_reason(p, q, q_prime),
+        "unit_squares": list(roots)})
+
+
+def dedekind_verdict(p, q, q_prime, t_q, t_q_prime, s_q, s_q_prime):
+    """cosmetic_dedekind_obstruction from T = 12 p s and s's text."""
+    witness = {"s_q": s_q, "s_q_prime": s_q_prime}
+    if t_q != t_q_prime:
+        witness["reason"] = dedekind_reason(p, q, q_prime, s_q, s_q_prime)
+    return ObstructionVerdict("dedekind", t_q == t_q_prime, witness)
 
 
 def congruence_reason(p, q, q_prime):
     """The failing linking congruence's witness text for this pair."""
     return f"no unit square maps {q_prime} to {q} mod {p}"
+
+
+def dedekind_reason(p, q, q_prime, s_q, s_q_prime):
+    """The failing Dedekind witness text, from the two formatted sums."""
+    return f"s({q}, {p}) = {s_q} but s({q_prime}, {p}) = {s_q_prime}"
 
 
 def distance_reason(delta):
@@ -149,9 +159,8 @@ def distance_reason(delta):
             f"{EXCEPTIONAL_DISTANCE_BOUND}")
 
 
-def parity_reason(p, q, q_prime):
-    """Why p/q, p/q' is not a slope pair, or None when it is one."""
-    g, h = gcd(q, p), gcd(q_prime, p)
+def parity_reason(p, q, q_prime, g, h):
+    """Why p/q, p/q' (gcds g, h with p) is not a slope pair, or None."""
     if g != 1 and h != 1:
         return (f"gcd({q}, {p}) = {g} and gcd({q_prime}, {p}) = {h}, "
                 "so not a slope pair")
@@ -162,6 +171,17 @@ def parity_reason(p, q, q_prime):
         return ("1/0 is the meridian, whose filling is the trivial surgery, "
                 "so not a cosmetic pair")
     return None
+
+
+_PARITY_PASSED = ObstructionVerdict("parity", True)
+
+
+def parity_verdict(p, q, q_prime, g, h):
+    """parity_filter given g = gcd(q, p) and h = gcd(q', p); a pass is
+    one shared verdict."""
+    reason = parity_reason(p, q, q_prime, g, h)
+    return _PARITY_PASSED if reason is None else ObstructionVerdict(
+        "parity", False, {"reason": reason})
 
 
 def parity_filter(p, q, q_prime):
@@ -175,7 +195,4 @@ def parity_filter(p, q, q_prime):
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
-    reason = parity_reason(p, q, q_prime)
-    if reason is None:
-        return ObstructionVerdict("parity", True)
-    return ObstructionVerdict("parity", False, {"reason": reason})
+    return parity_verdict(p, q, q_prime, gcd(q, p), gcd(q_prime, p))

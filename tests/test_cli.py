@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -60,7 +61,8 @@ def test_cli_import_loads_only_the_cli():
 
 @pytest.mark.parametrize("argv, absent", [
     (["enumerate", "--p", "5", "--q", "1..30"],
-     {"cosmetic.census", "cosmetic.homology"}),
+     {"cosmetic.census", "cosmetic.homology", "cosmetic.invariants",
+      "cosmetic.slopes"}),
     (["dedekind", "5", "7"], {"cosmetic.engine", "cosmetic.report"}),
 ], ids=["enumerate", "dedekind"])
 def test_a_command_loads_only_what_it_runs(argv, absent):
@@ -69,7 +71,7 @@ def test_a_command_loads_only_what_it_runs(argv, absent):
         f"with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert main({argv!r}) == 0"
     )
-    assert "cosmetic.slopes" in loaded
+    assert "cosmetic.dedekind" in loaded
     assert not loaded & (absent | {"dataclasses"})
 
 
@@ -162,6 +164,129 @@ def test_usage_errors_exit_one_and_help_exits_zero():
     run_cli(expect=1)
     assert "usage:" in run_cli("--help").stdout
     assert "--jobs" in run_cli("enumerate", "--help").stdout
+
+
+# SHA-256 of the stdout of `cosmetic <words> --help` at 80 columns.
+HELP_SHA256 = {
+    "":
+        "b72224c0d93cffd9a8bac777bcade954541730e13da00d9da0cec7405ee26612",
+    "dedekind":
+        "27ec527031e5ed7f61fea6a2f8475f3bd17ebaf5fb22e1192b0c18660a829213",
+    "casson":
+        "ecf6dd18e834653cfd435828fd5f52876287992f9fc81ea70e93cc8ab13251d3",
+    "casson lens":
+        "99f78074cd0e5f7f0117f2c3a8abfc976116c7595866a0a89ff928a21ede5bcd",
+    "casson surgery":
+        "973f6f3b303a50577ac2a2a6c8ffdaae528080884d648da91c698ff1ae88dd0b",
+    "casson delta2":
+        "f9b935ef58fe7ebb9a34bc9e165420d1c233d91020c08e8a1c2cc01508afe843",
+    "congruence":
+        "3408078bba40fa12e13b470268d3f7d4ea463a2daac212b2eaccf0851b47985d",
+    "homology":
+        "ad4d4598767fac813a77d6f429ac53880f7560662394f4f41e1ce950718b259a",
+    "homology watson":
+        "c34d3f50fa9ede41d388df68b61aa2119e4539ca6f486ff69721351172210c53",
+    "homology link":
+        "0397d4d256e2ed919cec827280e46b9ee65fdb83c4c59e32d1d3b588c12751d3",
+    "census":
+        "ca853db6104faf054db8be9e663ad5055236ce5f2247ff09fe2a3341c9680fd8",
+    "census show":
+        "f940a91d9b6ed8f44faaad8e18781f61053ba020859925e31549ba407ef356a0",
+    "classify":
+        "ee797343faefdb96516b2ee14fd46e76db38a2351eaee2ca985bb4353a6e2a23",
+    "replicate-theorem":
+        "2a0da90a0e9ea9111e4c37c94daadea4682ecadb898bbed5dcccdfc1811b941b",
+    "enumerate":
+        "047f37c24e460253771616459fffe486e61bf16acdf195b38fda180926f7813c",
+}
+
+TOP_USAGE = (
+    "usage: cosmetic [-h]\n                {dedekind,casson,congruence,"
+    "homology,census,classify,replicate-theorem,enumerate}\n                "
+    "...\n"
+)
+
+# Usage errors and the stderr each prints; every one exits 1.
+USAGE_ERRORS = {
+    (): TOP_USAGE + "cosmetic: error: the following arguments are "
+        "required: command\n",
+    ("frobnicate",): TOP_USAGE + "cosmetic: error: argument command: "
+        "invalid choice: 'frobnicate' (choose from 'dedekind', 'casson', "
+        "'congruence', 'homology', 'census', 'classify', "
+        "'replicate-theorem', 'enumerate')\n",
+    ("dedekind", "5"): "usage: cosmetic dedekind [-h] q p\ncosmetic "
+        "dedekind: error: the following arguments are required: p\n",
+    ("dedekind", "x", "7"): "usage: cosmetic dedekind [-h] q p\ncosmetic "
+        "dedekind: error: argument q: invalid int value: 'x'\n",
+    ("enumerate", "--p", "1", "--q", "1..9", "--bogus"): TOP_USAGE
+        + "cosmetic: error: unrecognized arguments: --bogus\n",
+    ("casson",): "usage: cosmetic casson [-h] {lens,surgery,delta2} ...\n"
+        "cosmetic casson: error: the following arguments are required: "
+        "subcommand\n",
+}
+
+
+def test_help_and_usage_errors_are_pinned(monkeypatch, capsys):
+    # The parser holds only the chosen subcommand's arguments; what it
+    # prints stays byte for byte what the full parser printed.
+    monkeypatch.setenv("COLUMNS", "80")
+    got = {}
+    for words in HELP_SHA256:
+        with pytest.raises(SystemExit) as exit_:
+            main([*words.split(), "--help"])
+        out, err = capsys.readouterr()
+        assert exit_.value.code == 0 and err == ""
+        got[words] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == HELP_SHA256
+    for argv, text in USAGE_ERRORS.items():
+        assert main(list(argv)) == 1
+        assert capsys.readouterr() == ("", text)
+
+
+# One command of each kind that a driver of cli.main in one interpreter
+# runs: the three theorem-cli kinds, the one-shot calculators, a sweep.
+IN_PROCESS = [
+    ["replicate-theorem", "--format", "json"],
+    ["classify", "--p", "5", "--format", "csv"],
+    ["census", "show", "W(-5/2)"],
+    ["dedekind", "5", "7"],
+    ["congruence", "7", "5", "6"],
+    ["casson", "lens", "7", "1"],
+    ["casson", "surgery", "--lambda-y=1/2", "--delta2=-4", "5/3"],
+    ["casson", "delta2", '{"-1": 1, "0": -1, "1": 1}'],
+    ["enumerate", "--p", "1..8", "--q", "1..40", "--filters",
+     "congruence,dedekind"],
+]
+
+_IN_PROCESS_DRIVER = """
+import contextlib, io, sys
+from cosmetic.cli import main
+for index, argv in enumerate(COMMANDS):
+    with open(f"{sys.argv[1]}/{index}.out", "w") as handle, \\
+            contextlib.redirect_stdout(handle), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code == 0, (argv, code)
+print("done")
+"""
+
+
+def test_in_process_commands_leave_nothing_for_exit(tmp_path):
+    # cli.main called in one interpreter, each command's stdout redirected
+    # to its own file: a main that ends the process (os._exit) or leaves
+    # output for exit (an atexit hook, a thread, a writer on fd 1) would
+    # lose a file's content or print after the driver's last line.
+    driver = f"COMMANDS = {IN_PROCESS!r}\n{_IN_PROCESS_DRIVER}"
+    proc = subprocess.run([sys.executable, "-c", driver, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1:] == ["done"]
+    for index, argv in enumerate(IN_PROCESS):
+        written = (tmp_path / f"{index}.out").read_text()
+        assert written == run_cli(*argv).stdout, argv
 
 
 def test_missing_census_file_exits_one(tmp_path):
@@ -272,8 +397,8 @@ def test_enumerate_lie_mid_sweep_exits_two(monkeypatch, capsys):
     # first met at q = 3, after every pair with p < 7 is written.
     evaluate = engine._evaluate
 
-    def lying(p, q, q_prime, filters):
-        record = evaluate(p, q, q_prime, filters)
+    def lying(p, q, q_prime, filters, residues):
+        record = evaluate(p, q, q_prime, filters, residues)
         if (p, q % p, q_prime - q) != (7, 3, 1):
             return record
         verdicts = tuple(

@@ -29,17 +29,19 @@ def test_sawtooth_odd_and_periodic():
 
 
 def test_direct_matches_sawtooth_definition():
-    """The integer-arithmetic form is literally the defining sum."""
-    for p in range(1, 61):
-        for q in range(1, p + 1):
+    """The integer-arithmetic form is literally the defining sum
+    sign(p) * sum_{0<k<|p|} ((k/p)) ((kq/p)), for p of either sign and q
+    in every residue class, from -|p|/2 up."""
+    for p in [*range(-60, 0), *range(1, 61)]:
+        for q in range(-(abs(p) // 2), abs(p) - abs(p) // 2):
             if gcd(q, p) != 1:
                 continue
             naive = sum(
                 (sawtooth(Fraction(k, p)) * sawtooth(Fraction(k * q, p))
-                 for k in range(1, p)),
+                 for k in range(1, abs(p))),
                 Fraction(0),
             )
-            assert dedekind_sum_direct(q, p) == naive
+            assert dedekind_sum_direct(q, p) == (naive if p > 0 else -naive)
 
 
 def test_golden_values_mod_7():

@@ -19,7 +19,13 @@ from cosmetic.engine import (
     verify_families,
     verify_pairs,
 )
-from cosmetic.obstructions import GeometryClass, ObstructionVerdict
+from cosmetic.invariants import cosmetic_dedekind_obstruction
+from cosmetic.obstructions import (
+    GeometryClass,
+    ObstructionVerdict,
+    linking_congruence,
+    parity_filter,
+)
 from cosmetic.report import emit_report
 
 
@@ -260,8 +266,9 @@ def _corrupted(value):
 
 def _mutants(record):
     """Each verdict flipped, dropped, with each checked witness field
-    corrupted and with a key its filter never writes, and the surviving
-    flag flipped: every single-point corruption of the record."""
+    corrupted, with a key its filter never writes and, if it fails,
+    without its reason, and the surviving flag flipped: every
+    single-point corruption of the record."""
     def rebuild(verdicts):
         return record._replace(verdicts=tuple(verdicts),
                                surviving=all(v.passed for v in verdicts))
@@ -283,6 +290,10 @@ def _mutants(record):
             extra = ObstructionVerdict(v.filter_name, v.passed,
                                        {**(v.witness or {}), key: "forged"})
             yield rebuild(trail[:i] + [extra] + trail[i + 1:])
+        if not v.passed:
+            bare = {k: x for k, x in v.witness.items() if k != "reason"}
+            unexplained = ObstructionVerdict(v.filter_name, False, bare)
+            yield rebuild(trail[:i] + [unexplained] + trail[i + 1:])
     yield record._replace(surviving=not record.surviving)
 
 
@@ -394,6 +405,17 @@ def test_verify_error_texts_are_pinned():
         witness={**dedekind.witness, "unit": 1}))
     assert _error(verify_pairs, [extra]) == (
         at + "dedekind witness has an extra key 'unit'")
+    # A failing verdict must say why: the reason is the report's detail.
+    (p3_far,) = run_enumeration([3], [1, 4]).pairs
+    (p3,) = run_enumeration([3], [1, 2]).pairs
+    for record, i, name in ((p7, 3, "dedekind"), (p3_far, 0, "distance"),
+                            (p3, 2, "congruence")):
+        v = record.verdicts[i]
+        assert v.filter_name == name and not v.passed
+        unexplained = _swapped(record, v._replace(witness={
+            k: x for k, x in v.witness.items() if k != "reason"}))
+        assert _error(verify_pairs, [unexplained]).endswith(
+            f": {name} witness has no 'reason'")
 
 
 def test_verify_builds_each_class_expectation_once(monkeypatch):
@@ -412,12 +434,34 @@ def test_verify_builds_each_class_expectation_once(monkeypatch):
         assert sum(1 for key in calls if key[0] == p) <= p * 8
 
 
+def _chain(p, q, q_prime, chosen):
+    # One pair by definition: the distance bound, then the validated
+    # one-shot filters, with congruence and Dedekind only after a parity
+    # pass.
+    verdicts = []
+    if "distance" in chosen:
+        delta = p * (q_prime - q)
+        witness = {"delta": delta}
+        if delta > 8:
+            witness["reason"] = (f"slope distance {delta} exceeds the "
+                                 "exceptional bound 8")
+        verdicts.append(ObstructionVerdict("distance", delta <= 8, witness))
+    verdicts.append(parity_filter(p, q, q_prime))
+    if verdicts[-1].passed:
+        if "congruence" in chosen:
+            verdicts.append(linking_congruence(p, q, q_prime))
+        if "dedekind" in chosen:
+            verdicts.append(cosmetic_dedekind_obstruction(p, q, q_prime))
+    return PairVerdict(p, q, q_prime, tuple(verdicts),
+                       all(v.passed for v in verdicts))
+
+
 def _pairwise(ps, qs, filters):
     # The sweep by definition: the whole filter chain on every pair.
     chosen = engine._normalize_filters(filters)
     members = set(qs)
     return [
-        engine._evaluate(p, q, q + gap, chosen)
+        _chain(p, q, q + gap, chosen)
         for p in sorted(set(ps)) for q in sorted(members)
         for gap in range(1, EXCEPTIONAL_DISTANCE_BOUND + 1)
         if q + gap in members
@@ -448,9 +492,9 @@ def test_class_table_matches_the_pairwise_chain(ps, qs, filters, jobs):
 def test_sweep_evaluates_each_class_once_per_sweep(monkeypatch):
     calls = []
 
-    def counted(p, q, q_prime, filters):
+    def counted(p, q, q_prime, filters, residues):
         calls.append((p, q % p, q_prime - q, 0 in (q, q_prime)))
-        return evaluate(p, q, q_prime, filters)
+        return evaluate(p, q, q_prime, filters, residues)
 
     evaluate = engine._evaluate
     monkeypatch.setattr(engine, "_evaluate", counted)
@@ -458,6 +502,27 @@ def test_sweep_evaluates_each_class_once_per_sweep(monkeypatch):
     assert len(pairs) == 8 * (1200 * 8 - 36)
     assert len(calls) == len(set(calls))
     assert len(calls) <= sum(8 * p for p in range(1, 9)) == 288
+
+
+def test_sweep_builds_each_residue_fact_once_per_p(monkeypatch):
+    calls = []
+
+    def counted(residues, r):
+        calls.append((residues.p, r))
+        return build(residues, r)
+
+    build = engine._Residues.__missing__
+    monkeypatch.setattr(engine._Residues, "__missing__", counted)
+    sweep = enumerate_pairs([127, 131], range(1, 301),
+                            ["congruence", "dedekind"])
+    assert sum(1 for _ in sweep) == 2 * (300 * 8 - 36)
+    assert sorted(calls) == [(p, r) for p in (127, 131) for r in range(p)]
+    calls.clear()
+    sweep = enumerate_pairs(range(1, 9), range(50000, 51200))
+    assert sum(1 for _ in sweep) == 8 * (1200 * 8 - 36)
+    assert len(calls) == len(set(calls))
+    for p in range(1, 9):
+        assert sum(1 for key in calls if key[0] == p) <= p
 
 
 def test_theorem_rejects_a_toroidal_family_beyond_p1(monkeypatch, capsys):
