@@ -38,14 +38,15 @@ EXPECTED_IDS = tuple(EXPECTED_DISTANCES)
 
 _TWO_TORUS_IDS = frozenset({"M1", "M2", "M3", "M14"})
 
-# The fields zhs_exterior_filter reads from each kind of homology fact.
+# The fields zhs_exterior_filter reads from each kind of homology fact,
+# with their types.
 _FACT_FIELDS = {
-    "cited_exclusion": ("statement",),
-    "filling_homology": ("filling", "betti", "torsion"),
-    "quotient_homology": ("filling", "betti", "torsion"),
-    "framing_shift_exclusion": (),
-    "whitehead_surgery_determinant": ("fixed_slope",),
-    "alexander_polynomial": ("coefficients", "statement"),
+    "cited_exclusion": {"statement": str},
+    "filling_homology": {"filling": str, "betti": int, "torsion": list},
+    "quotient_homology": {"filling": str, "betti": int, "torsion": list},
+    "framing_shift_exclusion": {},
+    "whitehead_surgery_determinant": {"fixed_slope": str},
+    "alexander_polynomial": {"coefficients": dict, "statement": str},
 }
 
 
@@ -85,26 +86,31 @@ class ExteriorVerdict(namedtuple("ExteriorVerdict", "excluded reason cited")):
         return tuple.__new__(cls, (excluded, reason, cited))
 
 
-_RECORD_FIELDS = ("id", "boundary_tori", "toroidal_pair_distance",
-                  "known_fillings", "homology_facts")
+_RECORD_FIELDS = {"id": str, "boundary_tori": int,
+                  "toroidal_pair_distance": int, "known_fillings": list,
+                  "homology_facts": list}
+_JSON_TYPES = {str: "string", int: "integer", list: "list", dict: "object"}
 
 
-def _require(raw, names, where):
+def _require(raw, fields, where, optional=False):
+    # Each name of `fields` present (unless optional) with the JSON type
+    # it maps to; a JSON true or false is not an integer.
     if not isinstance(raw, dict):
         raise ValueError(f"{where} is not a JSON object")
-    for name in names:
+    for name, kind in fields.items():
         if name not in raw:
+            if optional:
+                continue
             raise ValueError(f"{where} has no {name!r} field")
-
-
-def _list(raw, name, where):
-    if not isinstance(raw[name], list):
-        raise ValueError(f"{where}: {name!r} is not a JSON list")
-    return raw[name]
+        if type(raw[name]) is not kind:
+            raise ValueError(
+                f"{where}: {name!r} is not a JSON {_JSON_TYPES[kind]}")
 
 
 def _parse_filling(raw, where):
-    _require(raw, ("slope", "kind"), where)
+    _require(raw, {"slope": str, "kind": str}, where)
+    _require(raw, {"description": str, "order": int, "lens": list}, where,
+             optional=True)
     lens = tuple(raw["lens"]) if "lens" in raw else None
     return KnownFilling(
         slope=Slope.parse(raw["slope"]),
@@ -139,7 +145,7 @@ def _validate_record(record):
                 )
     for index, fact in enumerate(record.homology_facts):
         kind = fact.get("kind") if isinstance(fact, dict) else None
-        if kind not in _FACT_FIELDS:
+        if type(kind) is not str or kind not in _FACT_FIELDS:
             raise ValueError(
                 f"{rid}: homology fact {index} has unknown kind {kind!r}"
             )
@@ -158,14 +164,14 @@ def load_census(path=None):
         with open(path) as handle:
             text = handle.read()
     data = json.loads(text)
-    _require(data, ("schema_version", "records"), "census file")
+    _require(data, {"schema_version": int, "records": list}, "census file")
     if data["schema_version"] != CENSUS_SCHEMA_VERSION:
         raise ValueError(
             f"census schema_version {data['schema_version']!r} "
             f"is not {CENSUS_SCHEMA_VERSION}"
         )
     census = {}
-    for index, raw in enumerate(_list(data, "records", "census file")):
+    for index, raw in enumerate(data["records"]):
         _require(raw, _RECORD_FIELDS, f"census record {index}")
         rid = raw["id"]
         record = CensusRecord(
@@ -174,9 +180,9 @@ def load_census(path=None):
             toroidal_pair_distance=raw["toroidal_pair_distance"],
             known_fillings=tuple(
                 _parse_filling(f, f"{rid}: known filling {i}")
-                for i, f in enumerate(_list(raw, "known_fillings", rid))
+                for i, f in enumerate(raw["known_fillings"])
             ),
-            homology_facts=tuple(_list(raw, "homology_facts", rid)),
+            homology_facts=tuple(raw["homology_facts"]),
         )
         if record.id in census:
             raise ValueError(f"duplicate census id {record.id!r}")

@@ -176,23 +176,79 @@ def cmd_enumerate(args):
     return 0
 
 
-def _add_format(parser, default):
-    parser.add_argument(
-        "--format", choices=FORMATS, default=default,
-        help=f"output format (default {default})",
-    )
+_INT = {"type": int}
+_FORMAT = {default: ("--format", {
+    "choices": FORMATS, "default": default,
+    "help": f"output format (default {default})",
+}) for default in ("json", "markdown", "csv")}
+_NO_VERIFY = ("--no-verify", {
+    "action": "store_true",
+    "help": "skip the independent oracle re-derivation of every verdict",
+})
 
-
-def _add_no_verify(parser):
-    parser.add_argument(
-        "--no-verify", action="store_true",
-        help="skip the independent oracle re-derivation of every verdict",
-    )
+# (command words, help, handler or None for a group, arguments as
+# (name, add_argument keywords)); each group comes before its commands.
+_COMMANDS = (
+    (("dedekind",), "Dedekind sum s(q, p)", cmd_dedekind,
+     [("q", _INT), ("p", _INT)]),
+    (("casson",), "Casson invariant computations", None, []),
+    (("casson", "lens"), "Casson invariant of L(p, q)", cmd_casson_lens,
+     [("p", _INT), ("q", _INT)]),
+    (("casson", "surgery"), "Casson invariant of p/q surgery on a knot",
+     cmd_casson_surgery, [
+         ("--lambda-y", {"default": "0/1", "help": "Casson invariant of "
+                         "the ambient homology sphere (default 0/1)"}),
+         ("--delta2", {"type": int, "default": 0, "help": "Alexander "
+                       "second derivative at t = 1 (default 0)"}),
+         ("slope", {"help": "surgery coefficient p/q"}),
+     ]),
+    (("casson", "delta2"), "second derivative at t = 1 of an Alexander "
+     'polynomial given as a JSON map, e.g. \'{"-1": 1, "0": -3, "1": 1}\'',
+     cmd_casson_delta2, [("polynomial", {})]),
+    (("congruence",), "linking-form congruence q = q' u^2 (mod p)",
+     cmd_congruence, [("p", _INT), ("q", _INT), ("q_prime", _INT)]),
+    (("homology",), "first homology of fillings", None, []),
+    (("homology", "watson"),
+     "|H_1| of a filling from the linear order formula", cmd_homology_watson,
+     [("--c", {"type": int, "default": 1, "help": "homology constant c_M"}),
+      ("--shift", {"type": int, "default": 0, "help": "framing shift into "
+                   "the rational-longitude basis"}),
+      ("slope", {})]),
+    (("homology", "link"), "|H_1| of surgery on a two-component link",
+     cmd_homology_link,
+     [("--lk", {"type": int, "default": 0, "help": "linking number"}),
+      ("framing1", {}), ("framing2", {})]),
+    (("census",), "the candidate exterior census", None, []),
+    (("census", "show"), "one census record and its verdict",
+     cmd_census_show,
+     [("id", {"help": 'census id such as M8 or "W(-5/2)"'}),
+      ("--census-file", {})]),
+    (("classify",), "verdict trails for every residue family of one p",
+     cmd_classify,
+     [("--p", {"type": int, "required": True}), _FORMAT["json"],
+      _NO_VERIFY]),
+    (("replicate-theorem",),
+     "rebuild the case-by-case classification from the filters",
+     cmd_replicate, [_FORMAT["markdown"], _NO_VERIFY, ("--census-file", {})]),
+    (("enumerate",), "bulk sweep of concrete (p/q, p/q') pairs",
+     cmd_enumerate, [
+         *[(name, {"required": True, "help": "range a..b or single value"})
+           for name in ("--p", "--q")],
+         ("--filters", {"default": "all", "help": "all, or comma-separated "
+                        "subset of distance,congruence,dedekind (parity "
+                        "always runs)"}),
+         ("--max-gap", {"type": int, "default": 8}),
+         ("--jobs", {"type": int, "default": 1, "help": "at least 1; the "
+                     "sweep runs in one process and the output never "
+                     "depends on it"}),
+         _FORMAT["csv"], _NO_VERIFY,
+     ]),
+)
 
 
 def _build_parser(command):
-    # Every subcommand's name and help, but the arguments of `command`, the
-    # first word of the command line (the top level has only -h), alone.
+    # Every top-level command's name and help, but only the subtree of
+    # `command`, the command line's first word (the top level has only -h).
     parser = argparse.ArgumentParser(
         prog="cosmetic",
         description=(
@@ -200,119 +256,19 @@ def _build_parser(command):
             "surgeries on hyperbolic knots in integer homology spheres."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dedekind", help="Dedekind sum s(q, p)")
-    if command == "dedekind":
-        for name in ("q", "p"):
-            p.add_argument(name, type=int)
-        p.set_defaults(handler=cmd_dedekind)
-
-    casson = sub.add_parser("casson", help="Casson invariant computations")
-    if command == "casson":
-        nested = casson.add_subparsers(dest="subcommand", required=True)
-        p = nested.add_parser("lens", help="Casson invariant of L(p, q)")
-        for name in ("p", "q"):
-            p.add_argument(name, type=int)
-        p.set_defaults(handler=cmd_casson_lens)
-        p = nested.add_parser(
-            "surgery", help="Casson invariant of p/q surgery on a knot"
-        )
-        p.add_argument(
-            "--lambda-y", default="0/1", help="Casson invariant of the "
-            "ambient homology sphere (default 0/1)",
-        )
-        p.add_argument(
-            "--delta2", type=int, default=0,
-            help="Alexander second derivative at t = 1 (default 0)",
-        )
-        p.add_argument("slope", help="surgery coefficient p/q")
-        p.set_defaults(handler=cmd_casson_surgery)
-        p = nested.add_parser(
-            "delta2",
-            help="second derivative at t = 1 of an Alexander polynomial "
-                 'given as a JSON map, e.g. \'{"-1": 1, "0": -3, "1": 1}\'',
-        )
-        p.add_argument("polynomial")
-        p.set_defaults(handler=cmd_casson_delta2)
-
-    p = sub.add_parser(
-        "congruence", help="linking-form congruence q = q' u^2 (mod p)"
-    )
-    if command == "congruence":
-        for name in ("p", "q", "q_prime"):
-            p.add_argument(name, type=int)
-        p.set_defaults(handler=cmd_congruence)
-
-    homology = sub.add_parser("homology", help="first homology of fillings")
-    if command == "homology":
-        nested = homology.add_subparsers(dest="subcommand", required=True)
-        p = nested.add_parser(
-            "watson", help="|H_1| of a filling from the linear order formula"
-        )
-        p.add_argument("--c", type=int, default=1,
-                       help="homology constant c_M")
-        p.add_argument("--shift", type=int, default=0, help="framing shift "
-                       "into the rational-longitude basis")
-        p.add_argument("slope")
-        p.set_defaults(handler=cmd_homology_watson)
-        p = nested.add_parser(
-            "link", help="|H_1| of surgery on a two-component link"
-        )
-        p.add_argument("--lk", type=int, default=0, help="linking number")
-        p.add_argument("framing1")
-        p.add_argument("framing2")
-        p.set_defaults(handler=cmd_homology_link)
-
-    census = sub.add_parser("census", help="the candidate exterior census")
-    if command == "census":
-        nested = census.add_subparsers(dest="subcommand", required=True)
-        p = nested.add_parser("show", help="one census record and its verdict")
-        p.add_argument("id", help='census id such as M8 or "W(-5/2)"')
-        p.add_argument("--census-file", default=None)
-        p.set_defaults(handler=cmd_census_show)
-
-    p = sub.add_parser(
-        "classify", help="verdict trails for every residue family of one p"
-    )
-    if command == "classify":
-        p.add_argument("--p", type=int, required=True)
-        _add_format(p, "json")
-        _add_no_verify(p)
-        p.set_defaults(handler=cmd_classify)
-
-    p = sub.add_parser(
-        "replicate-theorem",
-        help="rebuild the case-by-case classification from the filters",
-    )
-    if command == "replicate-theorem":
-        _add_format(p, "markdown")
-        _add_no_verify(p)
-        p.add_argument("--census-file", default=None)
-        p.set_defaults(handler=cmd_replicate)
-
-    p = sub.add_parser(
-        "enumerate", help="bulk sweep of concrete (p/q, p/q') pairs"
-    )
-    if command == "enumerate":
-        for name in ("--p", "--q"):
-            p.add_argument(name, required=True,
-                           help="range a..b or single value")
-        p.add_argument(
-            "--filters", default="all",
-            help="all, or comma-separated subset of "
-                 "distance,congruence,dedekind (parity always runs)",
-        )
-        p.add_argument("--max-gap", type=int, default=8)
-        p.add_argument(
-            "--jobs", type=int, default=1,
-            help="at least 1; the sweep runs in one process and the output "
-                 "never depends on it",
-        )
-        _add_format(p, "csv")
-        _add_no_verify(p)
-        p.set_defaults(handler=cmd_enumerate)
-
+    groups = {(): parser.add_subparsers(dest="command", required=True)}
+    for words, text, handler, arguments in _COMMANDS:
+        if words[1:] and words[0] != command:
+            continue
+        p = groups[words[:-1]].add_parser(words[-1], help=text)
+        if words[0] != command:
+            continue
+        if handler is None:
+            groups[words] = p.add_subparsers(dest="subcommand", required=True)
+            continue
+        for name, keywords in arguments:
+            p.add_argument(name, **keywords)
+        p.set_defaults(handler=handler)
     return parser
 
 

@@ -275,9 +275,16 @@ _REASONS = {"parity": parity_reason, "congruence": congruence_reason,
             "dedekind": dedekind_reason}  # the failing reasons that name q
 
 
+def _ascending(values):
+    # Sorted and unique.  A range with a positive step already is, with
+    # O(1) membership, so it is kept: memory stays flat in its length.
+    if type(values) is range and values.step > 0:
+        return values
+    return sorted({int(v) for v in values})
+
+
 def _sweep_settings(p_values, q_values, filters, max_gap, jobs):
-    ps = sorted({int(p) for p in p_values})
-    qs = sorted({int(q) for q in q_values})
+    ps, qs = _ascending(p_values), _ascending(q_values)
     if ps and ps[0] < 1:
         raise ValueError("p must be a positive integer")
     if max_gap is None:
@@ -306,7 +313,8 @@ def enumerate_pairs(p_values, q_values, filters="all", max_gap=None, jobs=1):
     """
     ps, qs, chosen, max_gap = _sweep_settings(p_values, q_values, filters,
                                               max_gap, jobs)
-    members, new = frozenset(qs), tuple.__new__
+    members = qs if type(qs) is range else frozenset(qs)
+    new = tuple.__new__
     for p in ps:
         # At p = 1 a pair holding q = 0 (the meridian) is a class of its
         # own.  Later records skip __new__'s checks: the first passed them.
@@ -344,7 +352,7 @@ def enumerate_pairs(p_values, q_values, filters="all", max_gap=None, jobs=1):
 def _distance_warnings(ps, qs, chosen, max_gap):
     # Without the distance filter, warn if the sweep holds a pair with
     # p * gap > 8; the largest p needs the smallest such gap.
-    members = frozenset(qs)
+    members = qs if type(qs) is range else frozenset(qs)
     lowest = EXCEPTIONAL_DISTANCE_BOUND // ps[-1] + 1 if ps else max_gap + 1
     if "distance" in chosen or not any(
         q + gap in members for gap in range(lowest, max_gap + 1) for q in qs
@@ -376,22 +384,27 @@ def run_enumeration(p_values, q_values, filters="all", max_gap=None,
     return result._replace(pairs=tuple(result.pairs))
 
 
-def _expect(verdict, passed):
-    if verdict.passed != passed:
+def _mismatch(verdict, want, fields):
+    # Run once an inline check has failed.  Raises for a pass/fail other
+    # than `want`, then for the first missing or wrong witness field, then,
+    # on a failing verdict, for a missing "reason", else for any other key.
+    name, passed, w = verdict
+    if passed != want:
         raise CrossCheckError(
-            f"{verdict.filter_name} verdict says "
-            f"{'pass' if verdict.passed else 'fail'} but the oracle says "
-            f"{'pass' if passed else 'fail'}"
-        )
-
-
-def _field(verdict, key):
-    try:
-        return verdict.witness[key]
-    except (KeyError, TypeError):
-        raise CrossCheckError(
-            f"{verdict.filter_name} witness has no {key!r}"
-        ) from None
+            f"{name} verdict says {'pass' if passed else 'fail'} but the "
+            f"oracle says {'pass' if want else 'fail'}")
+    for key in [*fields, "reason"][:len(fields) + (not want)]:
+        try:
+            got = w[key]
+        except (KeyError, TypeError):
+            raise CrossCheckError(f"{name} witness has no {key!r}") from None
+        if key in fields and got != fields[key]:
+            raise CrossCheckError(f"{name} witness {key} is {got!r} but the "
+                                  f"oracle gives {fields[key]!r}")
+    extra = [key for key in w if key not in fields and (
+        want or key != "reason")] if isinstance(w, dict) else [w]
+    if extra:
+        raise CrossCheckError(f"{name} witness has an extra key {extra[0]!r}")
 
 
 # The oracles below read q only through q mod p, so within one verify
@@ -426,22 +439,6 @@ def _trail_shape(chosen, coprime):
             if name in chosen or name == "parity"]
 
 
-def _expect_witness(verdict, reason, **fields):
-    # Raises for the first missing or wrong field, then, if `reason` is
-    # set, for a missing "reason", else for the first key beyond these.
-    for key, value in fields.items():
-        if (got := _field(verdict, key)) != value:
-            raise CrossCheckError(f"{verdict.filter_name} witness {key} is "
-                                  f"{got!r} but the oracle gives {value!r}")
-    if reason:
-        _field(verdict, "reason")
-    w = verdict.witness
-    for key in w if isinstance(w, dict) else [w]:
-        if key not in fields and not (reason and key == "reason"):
-            raise CrossCheckError(
-                f"{verdict.filter_name} witness has an extra key {key!r}")
-
-
 def _expectation(memo, p, q, q_prime, wanted):
     # The oracles on each pair of the class of (q, q'): both gcds, each
     # filter's pass/fail, the unit squares and both direct sums.
@@ -458,7 +455,7 @@ def _expectation(memo, p, q, q_prime, wanted):
 
 
 def _verify_one(record, shapes, memo):
-    # Against the class's expectation; _expect helpers run only to raise.
+    # Against the class's expectation; _mismatch runs only to raise.
     p, q, q_prime, verdicts, surviving = record
     key = (q % p, q_prime % p, 0 in (q, q_prime))
     expected = memo.get(key)
@@ -478,35 +475,37 @@ def _verify_one(record, shapes, memo):
         want = (delta <= EXCEPTIONAL_DISTANCE_BOUND if name == "distance"
                 else passes[name])
         if passed != want:
-            _expect(v, want)
+            _mismatch(v, want, {})
         all_passed = all_passed and want
         # A witness holds its fields, plus a reason exactly when it fails.
         if name == "distance":
             if (type(w) is not dict or w.get("delta") != delta
                     or len(w) != 2 - want or want == ("reason" in w)):
-                _expect_witness(v, not want, delta=delta)
+                _mismatch(v, want, {"delta": delta})
         elif name == "dedekind":
             if (type(w) is not dict or w.get("s_q") != s_q
                     or w.get("s_q_prime") != s_q_prime
                     or len(w) != 3 - want or want == ("reason" in w)):
-                _expect_witness(v, not want, s_q=s_q, s_q_prime=s_q_prime)
+                _mismatch(v, want, {"s_q": s_q, "s_q_prime": s_q_prime})
         elif name == "congruence" and not want:
             if (type(w) is not dict or w.get("unit_squares") != squares
                     or len(w) != 2 or "reason" not in w):
-                _expect_witness(v, True, unit_squares=squares)
+                _mismatch(v, want, {"unit_squares": squares})
         elif name == "congruence":
-            u = w["unit"] if type(w) is dict and "unit" in w else (
-                _field(v, "unit"))
+            if type(w) is not dict or "unit" not in w:
+                _mismatch(v, want, {"unit": None})  # raises: no unit
+            u = w["unit"]
             if not ((u == 0) if p == 1 else 1 <= u < p and gcd(u, p) == 1
                     and (q - q_prime * u * u) % p == 0):
                 raise CrossCheckError(f"recorded congruence unit {u} does "
                                       f"not satisfy q = q' u^2 (mod {p})")
             if len(w) != 1:
-                _expect_witness(v, False, unit=u)
+                _mismatch(v, want, {"unit": u})
         elif not want:
             # A failing parity's reason names each gcd, or the meridian.
-            reason = w["reason"] if type(w) is dict and "reason" in w else (
-                _field(v, "reason"))
+            if type(w) is not dict or "reason" not in w:
+                _mismatch(v, want, {})  # raises: no reason
+            reason = w["reason"]
             if (g != 1 and f"gcd({q}, {p}) = {g}" not in reason
                     or h != 1 and f"gcd({q_prime}, {p}) = {h}" not in reason
                     or g == h == 1 and "meridian" not in reason):
@@ -515,9 +514,9 @@ def _verify_one(record, shapes, memo):
                 raise CrossCheckError(
                     f"parity witness {reason!r} does not name {causes}")
             if len(w) != 1:
-                _expect_witness(v, True)
+                _mismatch(v, want, {})
         elif w:
-            _expect_witness(v, False)
+            _mismatch(v, want, {})
     if surviving != all_passed:
         raise CrossCheckError("surviving flag is inconsistent with the trail")
 

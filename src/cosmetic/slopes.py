@@ -16,7 +16,10 @@ from math import gcd
 
 def parse_rational(text):
     """Parse "n/d" (or a bare integer "n") into an exact rational."""
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None
 
 
 def format_rational(x):

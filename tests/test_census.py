@@ -197,7 +197,25 @@ def test_load_rejects_unknown_fact_kind(tmp_path):
      "M8: known filling 1 has no 'slope' field"),
     (lambda data: data["records"][4].pop("id"),
      "census record 4 has no 'id' field"),
-], ids=["filling-slope", "record-id"])
+    (lambda data: data["records"][7]["known_fillings"][1].update(slope=5),
+     "M8: known filling 1: 'slope' is not a JSON string"),
+    (lambda data: data["records"][3]["homology_facts"][0].update(betti="1"),
+     "M4: homology fact 0 (filling_homology): 'betti' is not a JSON "
+     "integer"),
+    (lambda data: data["records"][14]["homology_facts"][1].update(
+        coefficients=[1, 2]),
+     "W(1): homology fact 1 (alexander_polynomial): 'coefficients' is not "
+     "a JSON object"),
+    (lambda data: data["records"][14]["homology_facts"][0].update(
+        fixed_slope=5),
+     "W(1): homology fact 0 (whitehead_surgery_determinant): 'fixed_slope' "
+     "is not a JSON string"),
+    (lambda data: data["records"][0]["homology_facts"][0].update(kind=["x"]),
+     "M1: homology fact 0 has unknown kind ['x']"),
+    (lambda data: data["records"][5]["known_fillings"][0].update(lens=7),
+     "M6: known filling 0: 'lens' is not a JSON list"),
+], ids=["filling-slope", "record-id", "slope-type", "betti-type",
+        "coefficients-type", "fixed-slope-type", "kind-type", "lens-type"])
 def test_load_names_a_missing_record_or_filling_key(tmp_path, capsys, edit,
                                                      message):
     data = _census_data()

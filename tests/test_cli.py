@@ -143,6 +143,8 @@ def test_bad_input_exits_one():
         proc = run_cli("casson", "delta2", text, expect=1)
         assert proc.stderr == ("error: Alexander polynomial must be a JSON "
                                "object mapping exponents to coefficients\n")
+    proc = run_cli("casson", "surgery", "--lambda-y", "1/0", "1/1", expect=1)
+    assert proc.stderr == "error: zero denominator in '1/0'\n"
 
 
 def test_broken_census_exits_two(tmp_path):

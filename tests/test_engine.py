@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from itertools import islice
 from math import gcd
 
 import pytest
@@ -15,6 +17,7 @@ from cosmetic.engine import (
     replicate_theorem,
     run_classification,
     run_enumeration,
+    stream_enumeration,
     surviving_families,
     verify_families,
     verify_pairs,
@@ -197,6 +200,26 @@ def test_warning_is_decided_before_the_sweep():
                          for pv in result.pairs)
             assert bool(result.warnings) == (beyond and "distance"
                                              not in filters)
+
+
+def test_sweep_memory_is_flat_in_the_q_range():
+    # A range of q is used as it is, never copied into a list or a set.
+    def peak(n):
+        tracemalloc.start()
+        try:
+            result = stream_enumeration([7], range(1, n + 1), ["distance"],
+                                        max_gap=1, verify=False)
+            assert len(list(islice(result.pairs, 10))) == 10
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(20_000)  # the first sweep's one-time allocations
+    assert peak(200_000) <= 1.25 * peak(20_000)
+    # Other iterables are sorted and deduplicated, as a range already is.
+    for qs in (range(1, 40, 3), range(39, 0, -3), [7, 1, 7, 4.0, 37]):
+        expected = run_enumeration([3, 5], sorted(set(map(int, qs))))
+        assert run_enumeration([3, 5], qs) == expected
 
 
 def test_run_classification_verifies_by_default():
