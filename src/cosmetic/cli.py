@@ -138,22 +138,22 @@ def cmd_census_show(args):
 
 def cmd_classify(args):
     from .engine import run_classification
-    from .report import emit_report
+    from .report import write_report
 
     result = run_classification(args.p, verify=not args.no_verify)
-    print(emit_report(result, args.format), end="")
+    write_report(result, args.format, sys.stdout)
     return 0
 
 
 def cmd_replicate(args):
     from .census import load_census, verify_census_exclusions
     from .engine import replicate_theorem
-    from .report import emit_report
+    from .report import write_report
 
     census = load_census(args.census_file)
     verify_census_exclusions(census)
     table = replicate_theorem(verify=not args.no_verify)
-    print(emit_report(table, args.format), end="")
+    write_report(table, args.format, sys.stdout)
     return 0
 
 

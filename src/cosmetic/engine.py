@@ -386,23 +386,25 @@ def run_enumeration(p_values, q_values, filters="all", max_gap=None,
 
 def _mismatch(verdict, want, fields):
     # Run once an inline check has failed.  Raises for a pass/fail other
-    # than `want`, then for the first missing or wrong witness field, then,
-    # on a failing verdict, for a missing "reason", else for any other key.
+    # than `want`, then for the first missing or wrong witness field (of
+    # its type: True is not 1), else for any other key.  A field given as
+    # None, as a passing verdict's reason, must be absent.
     name, passed, w = verdict
     if passed != want:
         raise CrossCheckError(
             f"{name} verdict says {'pass' if passed else 'fail'} but the "
             f"oracle says {'pass' if want else 'fail'}")
-    for key in [*fields, "reason"][:len(fields) + (not want)]:
+    fields = {key: value for key, value in fields.items() if value is not None}
+    for key, value in fields.items():
         try:
             got = w[key]
         except (KeyError, TypeError):
             raise CrossCheckError(f"{name} witness has no {key!r}") from None
-        if key in fields and got != fields[key]:
+        if type(got) is not type(value) or got != value:
             raise CrossCheckError(f"{name} witness {key} is {got!r} but the "
-                                  f"oracle gives {fields[key]!r}")
-    extra = [key for key in w if key not in fields and (
-        want or key != "reason")] if isinstance(w, dict) else [w]
+                                  f"oracle gives {value!r}")
+    extra = ([key for key in w if key not in fields]
+             if isinstance(w, dict) else [w])
     if extra:
         raise CrossCheckError(f"{name} witness has an extra key {extra[0]!r}")
 
@@ -477,24 +479,35 @@ def _verify_one(record, shapes, memo):
         if passed != want:
             _mismatch(v, want, {})
         all_passed = all_passed and want
-        # A witness holds its fields, plus a reason exactly when it fails.
+        # A witness holds its fields, plus, exactly when it fails, the
+        # reason the shared formatter gives for the oracle's values.
         if name == "distance":
+            reason = None if want else distance_reason(delta)
             if (type(w) is not dict or w.get("delta") != delta
-                    or len(w) != 2 - want or want == ("reason" in w)):
-                _mismatch(v, want, {"delta": delta})
+                    or type(w["delta"]) is not int
+                    or w.get("reason") != reason or len(w) != 2 - want):
+                _mismatch(v, want, {"delta": delta, "reason": reason})
         elif name == "dedekind":
+            reason = None if want else dedekind_reason(p, q, q_prime, s_q,
+                                                       s_q_prime)
             if (type(w) is not dict or w.get("s_q") != s_q
                     or w.get("s_q_prime") != s_q_prime
-                    or len(w) != 3 - want or want == ("reason" in w)):
-                _mismatch(v, want, {"s_q": s_q, "s_q_prime": s_q_prime})
+                    or w.get("reason") != reason or len(w) != 3 - want):
+                _mismatch(v, want, {"s_q": s_q, "s_q_prime": s_q_prime,
+                                    "reason": reason})
         elif name == "congruence" and not want:
+            reason = congruence_reason(p, q, q_prime)
             if (type(w) is not dict or w.get("unit_squares") != squares
-                    or len(w) != 2 or "reason" not in w):
-                _mismatch(v, want, {"unit_squares": squares})
+                    or w.get("reason") != reason or len(w) != 2):
+                _mismatch(v, want, {"unit_squares": squares,
+                                    "reason": reason})
         elif name == "congruence":
             if type(w) is not dict or "unit" not in w:
-                _mismatch(v, want, {"unit": None})  # raises: no unit
+                raise CrossCheckError("congruence witness has no 'unit'")
             u = w["unit"]
+            if type(u) is not int:
+                raise CrossCheckError(f"recorded congruence unit {u!r} is "
+                                      "not an integer")
             if not ((u == 0) if p == 1 else 1 <= u < p and gcd(u, p) == 1
                     and (q - q_prime * u * u) % p == 0):
                 raise CrossCheckError(f"recorded congruence unit {u} does "
@@ -502,19 +515,9 @@ def _verify_one(record, shapes, memo):
             if len(w) != 1:
                 _mismatch(v, want, {"unit": u})
         elif not want:
-            # A failing parity's reason names each gcd, or the meridian.
-            if type(w) is not dict or "reason" not in w:
-                _mismatch(v, want, {})  # raises: no reason
-            reason = w["reason"]
-            if (g != 1 and f"gcd({q}, {p}) = {g}" not in reason
-                    or h != 1 and f"gcd({q_prime}, {p}) = {h}" not in reason
-                    or g == h == 1 and "meridian" not in reason):
-                causes = " and ".join(f"gcd({x}, {p}) = {y}" for x, y in (
-                    (q, g), (q_prime, h)) if y != 1) or "meridian"
-                raise CrossCheckError(
-                    f"parity witness {reason!r} does not name {causes}")
-            if len(w) != 1:
-                _mismatch(v, want, {})
+            reason = parity_reason(p, q, q_prime, g, h)
+            if type(w) is not dict or w.get("reason") != reason or len(w) != 1:
+                _mismatch(v, want, {"reason": reason})
         elif w:
             _mismatch(v, want, {})
     if surviving != all_passed:
@@ -552,8 +555,12 @@ def verify_pairs(pairs, *, filters=None):
     scan of the units) are built once, and the verdicts once per class
     (q mod p, q' mod p, whether q or q' is 0).  Every pass/fail is
     recomputed, and so are the witness's delta, Dedekind values,
-    congruence unit and unit squares; a failing verdict needs a reason,
-    and any other witness key is rejected.  With `filters` (as for
+    congruence unit and unit squares, each of its type (True is not 1).
+    A failing verdict's reason must be the text its formatter
+    (distance_reason, parity_reason, congruence_reason, dedekind_reason)
+    gives for the oracle's values and this pair's q and q'; the engine
+    shares the formatters, so a bug in one is caught only by the report
+    goldens.  Any other witness key is rejected.  With `filters` (as for
     enumerate_pairs) a trail must hold exactly those filters and parity,
     in FILTER_ORDER, with congruence and Dedekind absent after a parity
     failure; without it, any in-order subset that includes parity is

@@ -4,15 +4,19 @@ All three formats are deterministic: fixed field order, sorted inputs,
 "\n" line endings.  JSON reports carry a top-level schema_version so
 downstream consumers can detect layout changes.
 
-Each result kind lays out its rows in one function that writes them to
-a text stream in chunks as they are made, so a streamed sweep is never
-held whole; emit_report collects the same bytes in a string.
+Each result kind lays out its rows in one function and writes them to a
+text stream, a few thousand lines per write, so a streamed sweep is
+never held whole; emit_report collects the same bytes in a string.  CSV
+and markdown rows share one cell table, which joins a row's filter and
+surviving cells once per pass/fail pattern; a CSV row quotes only its
+detail.  JSON is written field by field with one encoder, a list from a
+generator item by item, in the bytes of json.dumps(..., indent=2).
 """
 
 import io
-from collections import Counter
 from itertools import chain, islice
 from operator import attrgetter
+from types import GeneratorType
 
 from . import FORMATS
 from .engine import (
@@ -44,22 +48,14 @@ def _residue(record):
     return "any" if record.p == 1 else record.q_residue
 
 
-def _record_dict(record, family):
-    if family:
-        key = {"q_residue": _residue(record)}
-    else:
-        key = {"q": record.q, "q_prime": record.q_prime}
-    return {
-        "p": record.p,
-        **key,
-        "gap": record.gap,
-        "delta": record.delta,
-        "surviving": record.surviving,
-        "verdicts": [
-            {"filter": v.filter_name, "passed": v.passed, "witness": v.witness}
-            for v in record.verdicts
-        ],
-    }
+def _record_dicts(records, family):
+    for r in records:
+        key = ({"q_residue": _residue(r)} if family
+               else {"q": r.q, "q_prime": r.q_prime})
+        yield {"p": r.p, **key, "gap": r.gap, "delta": r.delta,
+               "surviving": r.surviving, "verdicts": [
+                   {"filter": v.filter_name, "passed": v.passed,
+                    "witness": v.witness} for v in r.verdicts]}
 
 
 def _detail(verdicts):
@@ -72,112 +68,93 @@ def _detail(verdicts):
     return "; ".join(notes)
 
 
-def _pattern_cells(verdicts, surviving, selected):
-    # A filter cell is pass/fail, "skipped" after a parity failure, or ""
-    # if switched off: cells read only the record's pattern.
-    by_name = {v.filter_name: v for v in verdicts}
-    skipped = "parity" in by_name and not by_name["parity"].passed
-    return [
-        ("pass" if by_name[name].passed else "fail")
-        if name in by_name
-        else "skipped" if name in selected and skipped else ""
-        for name in FILTER_ORDER
-    ] + ["yes" if surviving else "no"]
-
-
-def _cells(records, selected, tally):
-    # (record, its filter and surviving cells), counting records by their
-    # surviving flag in `tally`; one build per pattern.
+def _cells(records, selected, tally, sep):
+    # (record, its filter and surviving cells joined by `sep`), built once
+    # per (surviving, filter, passed...) pattern: a filter cell is
+    # pass/fail, "skipped" after a parity failure, or "" if switched off.
+    # tally[s] counts the records whose surviving flag is s.
     table = {}
     for record in records:
-        key = (record.surviving, *map(_PATTERN, record.verdicts))
-        cells = table.get(key)
-        if cells is None:
-            cells = table[key] = _pattern_cells(record.verdicts,
-                                                record.surviving, selected)
-        tally[record.surviving] += 1
-        yield record, cells
-
-
-def _csv_rows(records, selected):
-    # One line per sweep record: the joined cells are cached per pattern,
-    # and the detail is read from the record's own witnesses.
-    table = {}
-    for p, q, q_prime, verdicts, surviving in records:
+        surviving, verdicts = record[4], record[3]
         key = (surviving, *map(_PATTERN, verdicts))
         cells = table.get(key)
         if cells is None:
-            cells = table[key] = ",".join(
-                _pattern_cells(verdicts, surviving, selected))
-        yield (f"{p},{q},{q_prime},{q_prime - q},{p * (q_prime - q)},"
-               f"{cells},{_csv_cell(_detail(verdicts))}")
+            by_name = {v.filter_name: v for v in verdicts}
+            skipped = "parity" in by_name and not by_name["parity"].passed
+            cells = table[key] = sep.join([
+                ("pass" if by_name[name].passed else "fail")
+                if name in by_name
+                else "skipped" if name in selected and skipped else ""
+                for name in FILTER_ORDER
+            ] + ["yes" if surviving else "no"])
+        tally[surviving] += 1
+        yield record, cells
 
 
-def _chunks(items):
-    # Lists of up to 4096 items: one write per chunk, not per row.
-    items = iter(items)
-    while chunk := list(islice(items, 4096)):
-        yield chunk
-
-
-def _json(out, kind, **fields):
-    import json
-
-    payload = {"schema_version": REPORT_SCHEMA_VERSION, "kind": kind, **fields}
-    out.write(json.dumps(payload, indent=2) + "\n")
-
-
-def _csv_cell(cell):
+def _csv_cell(text):
     # csv's minimal quoting for "\n" line ends, as csv.writer does it.
-    text = str(cell)
     if "," in text or '"' in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 
 
-def _csv(out, header, rows):
-    _lines(out, (",".join(map(_csv_cell, row))
-                 for row in chain([header], rows)))
+def _lines(out, lines, sep="\n"):
+    # Each line followed by `sep`, one write per 4096 lines, so a stream
+    # that stops ends at a line's end; returns whether there were any.
+    lines, written = iter(lines), False
+    while chunk := list(islice(lines, 4096)):
+        out.write(sep.join(chunk) + sep)
+        written = True
+    return written
 
 
-def _lines(out, lines):
-    for chunk in _chunks(lines):
-        out.write("\n".join(chunk) + "\n")
+def _markdown(out, preamble, header, rows):
+    # `rows` are "| ... |" lines already.
+    _lines(out, chain(preamble, ["| " + " | ".join(header) + " |",
+                                 "|" + " --- |" * len(header)], rows))
 
 
-def _markdown_row(cells):
-    return "| " + " | ".join(str(cell) for cell in cells) + " |"
+def _json(out, kind, fields):
+    # The bytes of json.dumps of {"schema_version": ..., "kind": kind}
+    # and each (key, value) of `fields`, indent=2, one encode per field;
+    # a generator value is streamed as a list, one encode per item.  No
+    # encoded string holds a raw "\n", so re-indenting is a replace.
+    from json import JSONEncoder
 
-
-def _markdown_table(preamble, header, rows):
-    rule = "|" + " --- |" * len(header)
-    return chain(preamble, [_markdown_row(header), rule],
-                 map(_markdown_row, rows))
+    encode = JSONEncoder(indent=2).encode
+    out.write(f'{{\n  "schema_version": {REPORT_SCHEMA_VERSION},\n'
+              f'  "kind": {encode(kind)}')
+    for key, value in fields:
+        out.write(f",\n  {encode(key)}: ")
+        if type(value) is not GeneratorType:
+            out.write(encode(value).replace("\n", "\n  "))
+            continue
+        texts = (("\n" + encode(item)).replace("\n", "\n    ")
+                 for item in value)
+        out.write("[")
+        if _lines(out, chain(islice(texts, 1), map(",".__add__, texts)), ""):
+            out.write("\n  ")
+        out.write("]")
+    out.write("\n}\n")
 
 
 def _theorem_report(table, fmt, out):
+    sections = table.sections.items()
     if fmt == "json":
-        cases = [
-            {
+        return _json(out, "theorem_table", [
+            ("cases", [{
                 "geometry": geometry.value,
                 "distance_cap": distance_cap(geometry),
-                "families": [_record_dict(f, True) for f in families],
+                "families": list(_record_dicts(families, True)),
                 "note": table.note_for(geometry),
-            }
-            for geometry, families in table.sections.items()
-        ]
-        evaluated = [_record_dict(f, True) for f in table.evaluated]
-        return _json(out, "theorem_table", cases=cases, evaluated=evaluated)
+            } for geometry, families in sections]),
+            ("evaluated", list(_record_dicts(table.evaluated, True))),
+        ])
     if fmt == "csv":
-        return _csv(
-            out, ["geometry", "p", "q_residue", "gap", "delta", "detail"],
-            (
-                [geometry.value, f.p, _residue(f), f.gap, f.delta,
-                 _detail(f.verdicts)]
-                for geometry, families in table.sections.items()
-                for f in families
-            ),
-        )
+        return _lines(out, chain(["geometry,p,q_residue,gap,delta,detail"], (
+            f"{geometry.value},{f.p},{_residue(f)},{f.gap},{f.delta},"
+            f"{_csv_cell(_detail(f.verdicts))}"
+            for geometry, families in sections for f in families)))
     lines = [
         "# Truly cosmetic exceptional surgeries: surviving slope families",
         "",
@@ -185,7 +162,6 @@ def _theorem_report(table, fmt, out):
         "on a hyperbolic knot in an integer homology sphere falls into one",
         "of the cases below; every family not listed is obstructed.",
     ]
-    sections = table.sections.items()
     for index, (geometry, families) in enumerate(sections, start=1):
         cap = distance_cap(geometry)
         lines += [
@@ -206,65 +182,57 @@ def _theorem_report(table, fmt, out):
 
 def _classify_report(result, fmt, out):
     if fmt == "json":
-        return _json(
-            out, "classification",
-            p=result.p,
-            families=[_record_dict(f, True) for f in result.families],
-            surviving=[_record_dict(f, True) for f in result.surviving],
-        )
-    tally = Counter()
-    families = _cells(result.families, FILTER_ORDER, tally)
+        return _json(out, "classification", [
+            ("p", result.p),
+            ("families", list(_record_dicts(result.families, True))),
+            ("surviving", list(_record_dicts(result.surviving, True))),
+        ])
+    tally = [0, 0]
+    families = _cells(result.families, FILTER_ORDER, tally,
+                      "," if fmt == "csv" else " | ")
     if fmt == "csv":
-        return _csv(
-            out, ["p", "q_residue", "gap", "delta"] + _VERDICT_COLUMNS,
-            ([f.p, _residue(f), f.gap, f.delta, *cells, _detail(f.verdicts)]
-             for f, cells in families),
-        )
-    _lines(out, _markdown_table(
-        [f"# Residue families for p = {result.p}", ""],
+        header = ["p", "q_residue", "gap", "delta"] + _VERDICT_COLUMNS
+        return _lines(out, chain([",".join(header)], (
+            f"{f.p},{_residue(f)},{f.gap},{f.delta},{cells},"
+            f"{_csv_cell(_detail(f.verdicts))}" for f, cells in families)))
+    _markdown(
+        out, [f"# Residue families for p = {result.p}", ""],
         ["family", "delta"] + _VERDICT_COLUMNS,
-        ([f.describe(), f.delta, *cells, _detail(f.verdicts)]
-         for f, cells in families),
-    ))
-    out.write(f"\n{tally[True]} of {tally.total()} families survive.\n")
+        (f"| {f.describe()} | {f.delta} | {cells} | {_detail(f.verdicts)} |"
+         for f, cells in families))
+    out.write(f"\n{tally[True]} of {sum(tally)} families survive.\n")
+
+
+def _sweep_fields(result, rows, tally):
+    # The survivor count is read once the pairs are written.
+    yield "filters", list(result.filters)
+    yield "max_gap", result.max_gap
+    yield "warnings", list(result.warnings)
+    yield "pairs", _record_dicts((pv for pv, _ in rows), False)
+    yield "survivor_count", tally[True]
 
 
 def _enumeration_report(result, fmt, out):
     # Read once, as they arrive: `result.pairs` may be a generator.
-    if fmt == "csv":
-        # Only the detail may need quoting: the rest are integers and words.
-        header = ["p", "q", "q_prime", "gap", "delta"] + _VERDICT_COLUMNS
-        return _lines(out, chain([",".join(header)],
-                                 _csv_rows(result.pairs, result.filters)))
-    tally = Counter()
-    rows = _cells(result.pairs, result.filters, tally)
+    tally = [0, 0]
+    rows = _cells(result.pairs, result.filters, tally,
+                  " | " if fmt == "markdown" else ",")
     if fmt == "json":
-        # A hand-written envelope around pairs encoded one at a time and
-        # indented to their depth: the bytes of one json.dumps.
-        import json
-
-        out.write(json.dumps({
-            "schema_version": REPORT_SCHEMA_VERSION, "kind": "enumeration",
-            "filters": list(result.filters), "max_gap": result.max_gap,
-            "warnings": list(result.warnings), "pairs": [],
-        }, indent=2)[:-len("]\n}")])
-        texts = (json.dumps(_record_dict(pv, False), indent=2)
-                 for pv, _ in rows)
-        for index, chunk in enumerate(_chunks(texts)):
-            out.write(("," if index else "") + "\n    "
-                      + ",\n".join(chunk).replace("\n", "\n    "))
-        out.write(("\n  ]" if tally else "]")
-                  + f',\n  "survivor_count": {tally[True]}\n}}\n')
-        return
+        return _json(out, "enumeration", _sweep_fields(result, rows, tally))
+    if fmt == "csv":
+        header = ["p", "q", "q_prime", "gap", "delta"] + _VERDICT_COLUMNS
+        return _lines(out, chain([",".join(header)], (
+            f"{p},{q},{q_prime},{q_prime - q},{p * (q_prime - q)},{cells},"
+            f"{_csv_cell(_detail(verdicts))}"
+            for (p, q, q_prime, verdicts, _), cells in rows)))
     preamble = ["# Pair sweep", ""]
     for warning in result.warnings:
         preamble += [f"Note: {warning}", ""]
     # The markdown sweep table leaves out the detail column.
-    _lines(out, _markdown_table(
-        preamble, ["p", "q", "q'", "delta"] + _VERDICT_COLUMNS[:-1],
-        ([pv.p, pv.q, pv.q_prime, pv.delta, *cells] for pv, cells in rows),
-    ))
-    out.write(f"\n{tally[True]} of {tally.total()} pairs survive.\n")
+    _markdown(out, preamble, ["p", "q", "q'", "delta"] + _VERDICT_COLUMNS[:-1],
+              (f"| {p} | {q} | {q_prime} | {p * (q_prime - q)} | {cells} |"
+               for (p, q, q_prime, _, _), cells in rows))
+    out.write(f"\n{tally[True]} of {sum(tally)} pairs survive.\n")
 
 
 def write_report(result, fmt, out):

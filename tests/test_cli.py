@@ -14,7 +14,12 @@ import pytest
 
 from cosmetic import engine
 from cosmetic.cli import main, parse_range
-from cosmetic.engine import CrossCheckError, run_enumeration
+from cosmetic.engine import (
+    CrossCheckError,
+    replicate_theorem,
+    run_classification,
+    run_enumeration,
+)
 from cosmetic.obstructions import ObstructionVerdict
 from cosmetic.report import FORMATS, emit_report
 
@@ -316,6 +321,17 @@ def test_delta2_rejects_non_integer_coefficients():
         proc = run_cli("casson", "delta2", text, expect=1)
         assert proc.stderr == f"error: Alexander polynomial {bad}\n"
         assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_classify_and_theorem_write_the_emitted_report(fmt, capsys):
+    # The handlers write the report to stdout; its bytes are emit_report's.
+    cases = [(["classify", "--p", str(p)], lambda p=p: run_classification(p))
+             for p in range(1, 10)]
+    cases.append((["replicate-theorem"], replicate_theorem))
+    for argv, build in cases:
+        assert main(argv + ["--format", fmt]) == 0
+        assert capsys.readouterr() == (emit_report(build(), fmt), "")
 
 
 # enumerate settings (p, q, filters, max gap) whose streamed CLI output

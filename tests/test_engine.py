@@ -116,6 +116,17 @@ def test_verify_checks_congruence_witness():
     bad = PairVerdict(pair.p, pair.q, pair.q_prime, forged, pair.surviving)
     with pytest.raises(CrossCheckError):
         verify_pairs([bad])
+    # An integer witness field must be an int: True would print as true.
+    (p7,) = run_enumeration([7], [1, 8]).pairs
+    (p1,) = run_enumeration([1], [1, 2]).pairs
+    for record, verdict in [
+        *((pair, ObstructionVerdict("congruence", True, {"unit": unit}))
+          for unit in (None, "1", 1.0)),
+        (p7, ObstructionVerdict("congruence", True, {"unit": True})),
+        (p1, ObstructionVerdict("distance", True, {"delta": True})),
+    ]:
+        with pytest.raises(CrossCheckError):
+            verify_pairs([_swapped(record, verdict)])
 
 
 def test_theorem_table_sections():
@@ -288,10 +299,10 @@ def _corrupted(value):
 
 
 def _mutants(record):
-    """Each verdict flipped, dropped, with each checked witness field
-    corrupted, with a key its filter never writes and, if it fails,
-    without its reason, and the surviving flag flipped: every
-    single-point corruption of the record."""
+    """Each verdict flipped, dropped, with each witness field (a failing
+    verdict's reason included) corrupted, with a key its filter never
+    writes and, if it fails, without its reason, and the surviving flag
+    flipped: every single-point corruption of the record."""
     def rebuild(verdicts):
         return record._replace(verdicts=tuple(verdicts),
                                surviving=all(v.passed for v in verdicts))
@@ -302,10 +313,7 @@ def _mutants(record):
         flipped = ObstructionVerdict(v.filter_name, not v.passed, witness)
         yield rebuild(trail[:i] + [flipped] + trail[i + 1:])
         yield rebuild(trail[:i] + trail[i + 1:])
-        keys = [key for key in v.witness or {} if key != "reason"]
-        if v.filter_name == "parity" and not v.passed:
-            keys = ["reason"]
-        for key in keys:
+        for key in v.witness or {}:
             bad = dict(v.witness, **{key: _corrupted(v.witness[key])})
             forged = ObstructionVerdict(v.filter_name, v.passed, bad)
             yield rebuild(trail[:i] + [forged] + trail[i + 1:])
@@ -405,11 +413,14 @@ def test_verify_error_texts_are_pinned():
     half = ObstructionVerdict(
         "parity", False, {"reason": "gcd(2, 6) = 2, so not a slope pair"})
     assert _error(verify_pairs, [_swapped(p6, half)]) == (
-        "pair p=6 q=2 q'=3: parity witness 'gcd(2, 6) = 2, so not a slope "
-        "pair' does not name gcd(2, 6) = 2 and gcd(3, 6) = 3")
+        "pair p=6 q=2 q'=3: parity witness reason is 'gcd(2, 6) = 2, so not "
+        "a slope pair' but the oracle gives 'gcd(2, 6) = 2 and gcd(3, 6) = 3, "
+        "so not a slope pair'")
     forged = ObstructionVerdict("parity", False, {"reason": "forged"})
     assert _error(verify_pairs, [_swapped(meridian, forged)]) == (
-        "pair p=1 q=0 q'=1: parity witness 'forged' does not name meridian")
+        "pair p=1 q=0 q'=1: parity witness reason is 'forged' but the oracle "
+        "gives '1/0 is the meridian, whose filling is the trivial surgery, "
+        "so not a cosmetic pair'")
     unit = ObstructionVerdict("congruence", True, {"unit": 4})
     assert _error(verify_pairs, [_swapped(p5, unit)]) == (
         "pair p=5 q=2 q'=3: recorded congruence unit 4 does not satisfy "
@@ -439,6 +450,30 @@ def test_verify_error_texts_are_pinned():
             k: x for k, x in v.witness.items() if k != "reason"}))
         assert _error(verify_pairs, [unexplained]).endswith(
             f": {name} witness has no 'reason'")
+
+
+def test_verify_checks_each_reason_text():
+    # Reason corruptions that keep every other witness field: each failing
+    # reason must be the shared formatter's text for this pair.
+    pairs = run_enumeration([7], range(1, 40)).pairs
+
+    def first_failing(name):
+        return next((record, v) for record in pairs for v in record.verdicts
+                    if v.filter_name == name and not v.passed)
+
+    for name, forge in (
+        ("dedekind", lambda reason: "s(8, 7) nonsense"),
+        ("congruence", lambda reason: reason.replace("mod 7", "mod 999")),
+        ("distance", lambda reason: "nonsense"),
+        ("parity", lambda reason: reason + ", twice"),
+    ):
+        record, v = first_failing(name)
+        bad = v._replace(witness={**v.witness,
+                                  "reason": forge(v.witness["reason"])})
+        assert bad.witness["reason"] != v.witness["reason"]
+        assert _error(verify_pairs, [_swapped(record, bad)]).endswith(
+            f"{name} witness reason is {bad.witness['reason']!r} but the "
+            f"oracle gives {v.witness['reason']!r}")
 
 
 def test_verify_builds_each_class_expectation_once(monkeypatch):

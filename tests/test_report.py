@@ -6,6 +6,8 @@ import json
 import pytest
 
 from cosmetic.engine import (
+    THEOREM_CASE_ORDER,
+    ClassificationTable,
     ClassifyResult,
     EnumerationResult,
     PairVerdict,
@@ -13,7 +15,7 @@ from cosmetic.engine import (
     run_classification,
     run_enumeration,
 )
-from cosmetic.obstructions import ObstructionVerdict
+from cosmetic.obstructions import ObstructionVerdict, distance_cap
 from cosmetic.report import REPORT_SCHEMA_VERSION, emit_report
 
 
@@ -187,6 +189,76 @@ def test_csv_rows_read_only_their_own_witnesses():
         '2,2,4,2,4,pass,fail,skipped,skipped,no,"even, even"',
         "2,4,6,2,4,pass,fail,skipped,skipped,no,",
     ]
+
+
+def _record_payload(r, family):
+    # A record's JSON object, read from its public fields.
+    key = ({"q_residue": "any" if r.p == 1 else r.q_residue} if family
+           else {"q": r.q, "q_prime": r.q_prime})
+    return {"p": r.p, **key, "gap": r.gap, "delta": r.delta,
+            "surviving": r.surviving, "verdicts": [
+                {"filter": v.filter_name, "passed": v.passed,
+                 "witness": v.witness} for v in r.verdicts]}
+
+
+def _dumped(kind, **fields):
+    payload = {"schema_version": REPORT_SCHEMA_VERSION, "kind": kind,
+               **fields}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def test_json_reports_are_the_bytes_of_json_dumps():
+    # Records no engine run makes: odd reason texts, a 40-digit negative
+    # q, a None witness, an empty witness, empty unit squares.
+    big = -10 ** 39 - 7
+    records = (
+        PairVerdict(3, 1, 2, (
+            ObstructionVerdict("distance", True, {"delta": 3}),
+            ObstructionVerdict("parity", True, None),
+            ObstructionVerdict("congruence", False, {
+                "reason": 'é ∞ "quoted" back\\slash\ttab\nline\x01',
+                "unit_squares": []}),
+        ), False),
+        PairVerdict(3, big, big + 1, (
+            ObstructionVerdict("parity", True, {}),
+            ObstructionVerdict("congruence", True, {"unit": 2}),
+        ), True),
+        PairVerdict(1, 4, 5, (ObstructionVerdict("parity", True),), True),
+        PairVerdict(2, 2, 4, (ObstructionVerdict(
+            "parity", False, {"reason": "\x01\n"}),), False),
+    )
+    sections = dict(zip(THEOREM_CASE_ORDER, (records[:2], (), records[2:],
+                                              (), ())))
+    table = ClassificationTable(sections, {THEOREM_CASE_ORDER[1]: "é"},
+                                records)
+    assert emit_report(table, "json") == _dumped(
+        "theorem_table",
+        cases=[{"geometry": g.value, "distance_cap": distance_cap(g),
+                "families": [_record_payload(f, True) for f in families],
+                "note": table.note_for(g)}
+               for g, families in sections.items()],
+        evaluated=[_record_payload(f, True) for f in records])
+    for families in (records, (), records[3:]):
+        result = ClassifyResult(3, families)
+        assert emit_report(result, "json") == _dumped(
+            "classification", p=3,
+            families=[_record_payload(f, True) for f in families],
+            surviving=[_record_payload(f, True) for f in families
+                       if f.surviving])
+    # More records than one write holds, an empty sweep, a warning.
+    for pairs, warnings in ((records * 1100, ()), ((), ()),
+                            (records, ("é \"beyond\" 8",))):
+        filters = ("distance", "congruence")
+        expected = _dumped(
+            "enumeration", filters=list(filters), max_gap=8,
+            warnings=list(warnings),
+            pairs=[_record_payload(pv, False) for pv in pairs],
+            survivor_count=sum(pv.surviving for pv in pairs))
+        for streamed in (tuple(pairs), (pv for pv in pairs)):
+            sweep = EnumerationResult(streamed, filters, 8, warnings)
+            # As lines: pytest's diff of two long texts takes minutes.
+            assert (emit_report(sweep, "json").splitlines(True)
+                    == expected.splitlines(True))
 
 
 # Report builders for the byte-golden check, one per report kind and
