@@ -7,23 +7,24 @@ The Dedekind sum of a coprime pair (q, p), p != 0, is
 where ((x)) is the sawtooth: x - floor(x) - 1/2 for x not an integer,
 and 0 at integers.
 
-`dedekind_sum_direct` evaluates the defining sum term by term in O(p)
-integer arithmetic and is the oracle everything else is checked against.
+`direct_numerator` evaluates the defining sum in O(p) integer steps, as
+4 p^2 s(q, p) = 4 sum_k k r_k - p^2 (|p| - 1) with r_k = kq mod |p|: the
+oracle everything else is checked against (`dedekind_sum_direct` is s).
 `dedekind_sum_fast` walks the Euclidean algorithm through the reciprocity
 law (Rademacher-Grosswald; Knuth, TAOCP 3.3.3), which times 12 p q reads
 
     T(q, p) = 12 p s(q, p) = (p^2 + q^2 + 1 - 3 p q - p T(p mod q, q)) / q
 
 for 0 < q < p coprime, with T(0, 1) = 0: O(log p) exact integer steps.
-The two agree on every input (a test sweeps all coprime pairs up to
-p = 300) and return exact `fractions.Fraction` values.
+The two agree on every input (a test sweeps all coprime pairs up to p =
+300).  `sawtooth` and `dedekind_sum_*` return exact Fractions, and import
+`fractions` only when called; the two sum cores return plain integers.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import gcd
-from operator import mod, mul, sub
+from operator import mod, mul
 
 
 def sawtooth(x):
@@ -31,6 +32,7 @@ def sawtooth(x):
 
     Odd and 1-periodic.  Accepts anything Fraction accepts.
     """
+    from fractions import Fraction
     x = Fraction(x)
     if x.denominator == 1:
         return Fraction(0)
@@ -44,23 +46,24 @@ def _check_pair(q, p):
         raise ValueError(f"Dedekind sum s({q}, {p}) needs gcd(q, p) = 1")
 
 
-def dedekind_sum_direct(q, p):
-    """The defining O(p) sum.  Reference implementation.
+def direct_numerator(q, p):
+    """4 p^2 s(q, p), by the defining O(p) sum.  Reference implementation.
 
-    For 0 < k < |p| the k-th term, with r = kq mod |p| (never 0, as q
-    is coprime to p), is
-
-        ((k/|p|)) ((kq/|p|)) = (2k - |p|) (2r - |p|) / (4 p^2),
-
-    so the whole sum is accumulated term by term, by `map` over `range`
-    in C, as one integer over the common denominator 4 p^2.
+    With r_k = kq mod |p|, the k-th term is (2k - |p|)(2 r_k - |p|) / 4p^2
+    for 0 < k < |p|.  As r_k runs over 1..|p|-1 once (q is a unit), the
+    numerators add up to 4 sum k r_k - p^2 (|p| - 1), summed in C.
     """
     _check_pair(q, p)
-    ap = abs(p)
-    twice_r = (map(mod, range(2 * q, 2 * q * ap, 2 * q), repeat(2 * ap))
-               if ap > 1 else ())
-    num = sum(map(mul, range(2 - ap, ap, 2), map(sub, twice_r, repeat(ap))))
-    return Fraction(num if p > 0 else -num, 4 * p * p)
+    ap, q = abs(p), q % abs(p)  # q = 0 only for |p| = 1: an empty sum
+    r = map(mod, range(q, q * ap, q or 1), repeat(ap))
+    num = 4 * sum(map(mul, range(1, ap), r)) - ap * ap * (ap - 1)
+    return num if p > 0 else -num
+
+
+def dedekind_sum_direct(q, p):
+    """s(q, p) = direct_numerator(q, p) / 4 p^2, a Fraction."""
+    from fractions import Fraction
+    return Fraction(direct_numerator(q, p), 4 * p * p)
 
 
 @lru_cache(maxsize=4096)
@@ -86,6 +89,7 @@ def scaled_dedekind_sum(q, p):
 
 def dedekind_sum_fast(q, p):
     """s(q, p) = T(q, p) / 12 |p|, by the O(log p) integer recurrence."""
+    from fractions import Fraction
     return Fraction(scaled_dedekind_sum(q, p), 12 * abs(p))
 
 

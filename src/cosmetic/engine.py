@@ -15,18 +15,18 @@ type, `PairVerdict`.
 
 Every verdict the engine produces can be re-derived from first
 principles: `verify_families` and `verify_pairs` recompute each filter
-from its definitional oracle (the O(p) direct Dedekind sum, exhaustive
-unit search) and raise CrossCheckError on any disagreement.  Those
-oracles read q only through q mod p, so one verify pass memoizes them
-per residue and their verdicts per class, apart from every table and
-cache of the engine.  The CLI exits 2 on a mismatch.
+from its definitional oracle (the O(p) direct Dedekind sum, cosets of
+the unit squares from one scan of the units) and raise CrossCheckError
+on any disagreement.  One verify pass builds the oracles' facts once per
+residue q mod p, apart from every table and cache of the engine.  The
+CLI exits 2 on a mismatch.
 """
 
 from collections import namedtuple
 from math import gcd
 
 from . import CrossCheckError
-from .dedekind import dedekind_sum_direct, scaled_dedekind_sum, sum_text
+from .dedekind import direct_numerator, scaled_dedekind_sum, sum_text
 from .obstructions import (
     EXCEPTIONAL_DISTANCE_BOUND,
     GeometryClass,
@@ -200,8 +200,11 @@ def _evaluate(p, q, q_prime, filters, residues):
         if "dedekind" in filters:
             verdicts.append(dedekind_verdict(p, q, q_prime, t_q, t_q_prime,
                                              s_q, s_q_prime))
-    surviving = all(v.passed for v in verdicts)
-    return PairVerdict(p, q, q_prime, tuple(verdicts), surviving)
+    surviving = True
+    for v in verdicts:
+        surviving = surviving and v[1]
+    return tuple.__new__(PairVerdict, (p, q, q_prime, tuple(verdicts),
+                                       surviving))
 
 
 def classify_candidates(p):
@@ -413,25 +416,34 @@ def _mismatch(verdict, want, fields):
 # pass they are memoized per residue.  The memo is cleared whenever p
 # changes, and it never shares state with the engine's caches.
 
-def _oracle_facts(memo, r, p, wanted):
-    # For 0 <= r < p: gcd(r, p) and, for a unit r, the direct sum's text
-    # (in lowest terms, so equal texts mean equal sums) and the marks
-    # r u^2 mod p over the unit squares u^2, from one scan of the units.
-    facts = memo.get(r)
-    if facts is None:
-        g, text, images = gcd(r, p), None, None
-        if g == 1 and "dedekind" in wanted:
-            s = dedekind_sum_direct(r, p)
-            text = f"{s.numerator}/{s.denominator}"
-        if g == 1 and "congruence" in wanted:
-            squares = memo.get("squares") or memo.setdefault(
-                "squares", sorted({u * u % p for u in range(1, p)
-                                   if gcd(u, p) == 1}))
-            images = bytearray(p)
+def _coset_labels(p):
+    # From one scan of the units of p: the unit squares, ascending, and at
+    # each unit the least unit of its coset (q = q' u^2 iff labels agree).
+    units = [u for u in range(1, p) if gcd(u, p) == 1]
+    squares = sorted({u * u % p for u in units})
+    labels = [0] * p
+    for u in units:
+        if not labels[u]:
             for square in squares:
-                images[r * square % p] = 1
-        facts = memo[r] = g, text, images
-    return facts
+                labels[u * square % p] = u
+    return squares, labels
+
+
+def _oracle_facts(memo, r, p, shapes):
+    # For 0 <= r < p: gcd(r, p) and, for a unit r, the direct sum's text
+    # (in lowest terms, so equal texts mean equal sums) and r's coset
+    # label, each only if a trail may hold its filter.
+    wanted = shapes[True] if shapes else FILTER_ORDER
+    g, text, label = gcd(r, p), None, None
+    if g == 1 and "dedekind" in wanted:
+        num, den = direct_numerator(r, p), 4 * p * p
+        k = gcd(num, den)
+        text = f"{num // k}/{den // k}"
+    if g == 1 and "congruence" in wanted:
+        if "cosets" not in memo:
+            memo["cosets"] = _coset_labels(p)
+        label = memo["cosets"][1][r]
+    return memo.setdefault(r, (g, text, label))
 
 
 def _trail_shape(chosen, coprime):
@@ -441,30 +453,15 @@ def _trail_shape(chosen, coprime):
             if name in chosen or name == "parity"]
 
 
-def _expectation(memo, p, q, q_prime, wanted):
-    # The oracles on each pair of the class of (q, q'): both gcds, each
-    # filter's pass/fail, the unit squares and both direct sums.
-    g, s_q, _ = _oracle_facts(memo, q % p, p, wanted)
-    h, s_q_prime, images = _oracle_facts(memo, q_prime % p, p, wanted)
+def _verify_one(record, shapes, memo):
+    # Against the oracles' residue facts; _mismatch runs only to raise.
+    p, q, q_prime, verdicts, surviving = record
+    r, r_prime = q % p, q_prime % p
+    g, s_q, label = memo.get(r) or _oracle_facts(memo, r, p, shapes)
+    h, s_q_prime, label_prime = (memo.get(r_prime)
+                                 or _oracle_facts(memo, r_prime, p, shapes))
     # Both p/q and p/q' primitive, and neither the meridian 1/0.
     coprime = 0 not in (q, q_prime) and g == h == 1
-    passes = {"parity": coprime}
-    if coprime and "congruence" in wanted:
-        passes["congruence"] = p == 1 or bool(images[q % p])
-    if coprime and "dedekind" in wanted:
-        passes["dedekind"] = s_q == s_q_prime
-    return coprime, g, h, passes, memo.get("squares"), s_q, s_q_prime
-
-
-def _verify_one(record, shapes, memo):
-    # Against the class's expectation; _mismatch runs only to raise.
-    p, q, q_prime, verdicts, surviving = record
-    key = (q % p, q_prime % p, 0 in (q, q_prime))
-    expected = memo.get(key)
-    if expected is None:
-        expected = memo[key] = _expectation(
-            memo, p, q, q_prime, shapes[True] if shapes else FILTER_ORDER)
-    coprime, g, h, passes, squares, s_q, s_q_prime = expected
     names = [v.filter_name for v in verdicts]
     expected_names = (_trail_shape(names, coprime) if shapes is None
                       else shapes[coprime])
@@ -475,7 +472,9 @@ def _verify_one(record, shapes, memo):
     for v in verdicts:
         name, passed, w = v
         want = (delta <= EXCEPTIONAL_DISTANCE_BOUND if name == "distance"
-                else passes[name])
+                else coprime if name == "parity"
+                else p == 1 or label == label_prime if name == "congruence"
+                else s_q == s_q_prime)
         if passed != want:
             _mismatch(v, want, {})
         all_passed = all_passed and want
@@ -497,10 +496,15 @@ def _verify_one(record, shapes, memo):
                                     "reason": reason})
         elif name == "congruence" and not want:
             reason = congruence_reason(p, q, q_prime)
+            squares = memo["cosets"][0]
             if (type(w) is not dict or w.get("unit_squares") != squares
                     or w.get("reason") != reason or len(w) != 2):
                 _mismatch(v, want, {"unit_squares": squares,
                                     "reason": reason})
+            first = w["unit_squares"][0]  # equal lists: True == 1 slips by
+            if type(first) is not int:
+                raise CrossCheckError("congruence witness unit square "
+                                      f"{first!r} is not an integer")
         elif name == "congruence":
             if type(w) is not dict or "unit" not in w:
                 raise CrossCheckError("congruence witness has no 'unit'")
@@ -548,13 +552,12 @@ def _verified(records, kind, filters):
 def verify_pairs(pairs, *, filters=None):
     """Re-derive every pair verdict from definitional oracles.
 
-    Uses the O(p) direct Dedekind sum and an exhaustive unit search,
-    independent of the residue table, reciprocity fast path and square
-    roots the engine ran with.  In one call, per residue q mod p, the gcd,
-    the direct sum and the images q u^2 of the unit squares (from one
-    scan of the units) are built once, and the verdicts once per class
-    (q mod p, q' mod p, whether q or q' is 0).  Every pass/fail is
-    recomputed, and so are the witness's delta, Dedekind values,
+    Uses the O(p) direct Dedekind sum and, from one scan of the units of
+    p, each unit's coset of the unit squares (q = q' u^2 for a unit u
+    exactly when q and q' share a coset), apart from the residue table,
+    reciprocity and square roots the engine ran with.  In one call each
+    residue's gcd, direct sum and coset are built once.  Every pass/fail
+    is recomputed, and so are the witness's delta, Dedekind values,
     congruence unit and unit squares, each of its type (True is not 1).
     A failing verdict's reason must be the text its formatter
     (distance_reason, parity_reason, congruence_reason, dedekind_reason)

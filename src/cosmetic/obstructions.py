@@ -72,20 +72,23 @@ class ObstructionVerdict(
         return tuple.__new__(cls, (filter_name, passed, witness))
 
 
+_new = tuple.__new__  # for builders whose failing verdicts carry witnesses
+
+
 # Sweeps visit p in sorted order, so a few entries suffice and memory
 # depends on p, not on how many moduli a sweep holds.
 @lru_cache(maxsize=32)
 def _unit_squares(p):
-    # {u^2 mod p: the smallest unit u with that square}, by one O(p) scan,
-    # with the squares in ascending order.  Every caller shares the dict
-    # and only reads it.
+    # {u^2 mod p: the smallest unit u with that square} and the squares in
+    # ascending order, by one O(p) scan.  Every caller shares both and
+    # only reads them: each failing congruence witness of p holds the list.
     if p == 1:
-        return {0: 0}
+        return {0: 0}, [0]
     roots = {}
     for u in range(1, p):
         if gcd(u, p) == 1:
             roots.setdefault(u * u % p, u)
-    return dict(sorted(roots.items()))
+    return roots, sorted(roots)
 
 
 def unit_squares_mod(p):
@@ -96,7 +99,7 @@ def unit_squares_mod(p):
     """
     if p < 1:
         raise ValueError("modulus must be a positive integer")
-    return set(_unit_squares(p))
+    return set(_unit_squares(p)[1])
 
 
 def linking_congruence(p, q, q_prime):
@@ -121,18 +124,19 @@ def linking_congruence(p, q, q_prime):
 def congruence_verdict(p, q, q_prime, q_inverse, q_prime_inverse):
     """linking_congruence from q^-1 and q'^-1 mod p.  The witness is the
     smallest root of q / q' (or the inverse of that of q' / q) on a
-    residue-ordered side, so swapping q and q' inverts it."""
-    roots = _unit_squares(p)
+    residue-ordered side, so swapping q and q' inverts it.  A failing
+    witness holds p's one shared list of unit squares, read-only."""
+    roots, squares = _unit_squares(p)
     if q % p <= q_prime % p:
         u = roots.get(q * q_prime_inverse % p)
     else:
         v = roots.get(q_prime * q_inverse % p)
         u = None if v is None else pow(v, -1, p)
     if u is not None:
-        return ObstructionVerdict("congruence", True, {"unit": u})
-    return ObstructionVerdict("congruence", False, {
+        return _new(ObstructionVerdict, ("congruence", True, {"unit": u}))
+    return _new(ObstructionVerdict, ("congruence", False, {
         "reason": congruence_reason(p, q, q_prime),
-        "unit_squares": list(roots)})
+        "unit_squares": squares}))
 
 
 def dedekind_verdict(p, q, q_prime, t_q, t_q_prime, s_q, s_q_prime):
@@ -140,7 +144,7 @@ def dedekind_verdict(p, q, q_prime, t_q, t_q_prime, s_q, s_q_prime):
     witness = {"s_q": s_q, "s_q_prime": s_q_prime}
     if t_q != t_q_prime:
         witness["reason"] = dedekind_reason(p, q, q_prime, s_q, s_q_prime)
-    return ObstructionVerdict("dedekind", t_q == t_q_prime, witness)
+    return _new(ObstructionVerdict, ("dedekind", t_q == t_q_prime, witness))
 
 
 def congruence_reason(p, q, q_prime):

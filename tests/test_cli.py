@@ -50,10 +50,10 @@ def test_cli_import_loads_no_process_pool():
 
 
 def _modules_after(code):
-    # The package modules and `dataclasses` loaded in a fresh interpreter
-    # once `code` has run.
-    code += ("\nimport sys\nprint(*(m for m in sys.modules if "
-             "m == 'dataclasses' or m.startswith('cosmetic')))")
+    # The package modules, `dataclasses` and `fractions` loaded in a fresh
+    # interpreter once `code` has run.
+    code += ("\nimport sys\nprint(*(m for m in sys.modules if m in "
+             "('dataclasses', 'fractions') or m.startswith('cosmetic')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     return set(proc.stdout.split())
@@ -67,9 +67,12 @@ def test_cli_import_loads_only_the_cli():
 @pytest.mark.parametrize("argv, absent", [
     (["enumerate", "--p", "5", "--q", "1..30"],
      {"cosmetic.census", "cosmetic.homology", "cosmetic.invariants",
-      "cosmetic.slopes"}),
+      "cosmetic.slopes", "fractions"}),
+    (["classify", "--p", "5"],
+     {"cosmetic.census", "cosmetic.homology", "cosmetic.invariants",
+      "cosmetic.slopes", "fractions"}),
     (["dedekind", "5", "7"], {"cosmetic.engine", "cosmetic.report"}),
-], ids=["enumerate", "dedekind"])
+], ids=["enumerate", "classify", "dedekind"])
 def test_a_command_loads_only_what_it_runs(argv, absent):
     loaded = _modules_after(
         "import contextlib, io\nfrom cosmetic.cli import main\n"
@@ -363,7 +366,10 @@ def test_streamed_enumerate_matches_emit_report(name, fmt, capsys):
     argv, result = _stream_case(name, fmt)
     assert main(argv) == 0
     out, err = capsys.readouterr()
-    assert out == emit_report(result, fmt)
+    # Line lists, not whole texts: a failing comparison of two long texts
+    # makes pytest build a diff for minutes.
+    assert (out.splitlines(keepends=True)
+            == emit_report(result, fmt).splitlines(keepends=True))
     assert err == "".join(f"warning: {w}\n" for w in result.warnings)
     # The warning is decided before the sweep, by the rule it had when it
     # was read off the finished pairs.
