@@ -32,8 +32,7 @@ _EXPORTS = {
     "engine": ("ClassificationTable", "ClassifyResult", "EnumerationResult",
                "PairVerdict", "classify_candidates", "enumerate_pairs",
                "replicate_theorem", "run_classification", "run_enumeration",
-               "stream_enumeration", "surviving_families", "verify_families",
-               "verify_pairs"),
+               "stream_enumeration", "surviving_families"),
     "homology": ("LinkSurgeryData", "WatsonData", "deduced_filling_orders",
                  "h1_order_watson", "link_surgery_h1", "solve_framing_shift"),
     "invariants": ("AlexanderPolynomial", "LensSpace",
@@ -42,6 +41,7 @@ _EXPORTS = {
     "obstructions": ("GeometryClass", "ObstructionVerdict", "distance_cap",
                      "linking_congruence", "parity_filter",
                      "unit_squares_mod"),
+    "oracle": ("verify_families", "verify_pairs"),
     "report": ("emit_report", "write_report"),
     "slopes": ("Slope", "canonicalize_slope", "format_rational",
                "parse_rational", "reframe_slope", "slope_distance"),

@@ -13,24 +13,20 @@ per pair only the witness texts that name q.  A family is the pair at
 its smallest positive q, so families and concrete pairs share one record
 type, `PairVerdict`.
 
-Every verdict the engine produces can be re-derived from first
-principles: `verify_families` and `verify_pairs` recompute each filter
-from its definitional oracle (the O(p) direct Dedekind sum, cosets of
-the unit squares from one scan of the units) and raise CrossCheckError
-on any disagreement.  One verify pass builds the oracles' facts once per
-residue q mod p, apart from every table and cache of the engine.  The
-CLI exits 2 on a mismatch.
+`cosmetic.oracle` re-derives every verdict in the verify pass.
 """
 
 from collections import namedtuple
 from math import gcd
 
 from . import CrossCheckError
-from .dedekind import direct_numerator, scaled_dedekind_sum, sum_text
+from .dedekind import scaled_dedekind_sum, sum_text
 from .obstructions import (
     EXCEPTIONAL_DISTANCE_BOUND,
+    FILTER_ORDER,
     GeometryClass,
     ObstructionVerdict,
+    _normalize_filters,
     congruence_reason,
     congruence_verdict,
     dedekind_reason,
@@ -40,11 +36,7 @@ from .obstructions import (
     parity_reason,
     parity_verdict,
 )
-
-# Canonical filter order for verdict trails and report columns.  Parity
-# always runs; the other three can be switched off in bulk sweeps.
-FILTER_ORDER = ("distance", "parity", "congruence", "dedekind")
-SELECTABLE_FILTERS = ("distance", "congruence", "dedekind")
+from .oracle import _verified, verify_families, verify_pairs
 
 # The four numbered cases of the classification, in statement order,
 # followed by the finite-fundamental-group case that ends up empty.
@@ -145,19 +137,6 @@ class EnumerationResult(
         return tuple(pv for pv in self.pairs if pv.surviving)
 
 
-def _normalize_filters(filters):
-    if filters == "all" or filters is None:
-        return SELECTABLE_FILTERS
-    filters = set(filters)
-    unknown = sorted(filters - set(FILTER_ORDER))
-    if unknown:
-        raise ValueError(
-            f"unknown filter {unknown[0]!r}; choose from "
-            f"{', '.join(SELECTABLE_FILTERS)} (parity always runs)"
-        )
-    return tuple(name for name in SELECTABLE_FILTERS if name in filters)
-
-
 class _Residues(dict):
     """Facts of each residue r = q mod p, built on first lookup: gcd(r, p)
     and, for a unit r, T(r, p) = 12 p s(r, p), the text of s, r^-1 mod p."""
@@ -216,7 +195,7 @@ def classify_candidates(p):
     {3, 4, 6, 7, 8} no family survives; for p > 8 there is nothing to
     evaluate and the list is empty.
     """
-    if p < 1:
+    if type(p) is not int or p < 1:
         raise ValueError("p must be a positive integer")
     families, residues = [], _Residues(p)
     for gap in range(1, EXCEPTIONAL_DISTANCE_BOUND // p + 1):
@@ -317,13 +296,14 @@ def enumerate_pairs(p_values, q_values, filters="all", max_gap=None, jobs=1):
     ps, qs, chosen, max_gap = _sweep_settings(p_values, q_values, filters,
                                               max_gap, jobs)
     members = qs if type(qs) is range else frozenset(qs)
+    top = qs[-1] if qs else 0  # no q' lies beyond the largest q
     new = tuple.__new__
     for p in ps:
         # At p = 1 a pair holding q = 0 (the meridian) is a class of its
         # own.  Later records skip __new__'s checks: the first passed them.
         classes, residues = {}, _Residues(p)
         for q in qs:
-            for gap in range(1, max_gap + 1):
+            for gap in range(1, min(max_gap, top - q) + 1):
                 q_prime = q + gap
                 if q_prime not in members:
                     continue
@@ -354,11 +334,14 @@ def enumerate_pairs(p_values, q_values, filters="all", max_gap=None, jobs=1):
 
 def _distance_warnings(ps, qs, chosen, max_gap):
     # Without the distance filter, warn if the sweep holds a pair with
-    # p * gap > 8; the largest p needs the smallest such gap.
+    # p * gap > 8; the largest p needs the smallest such gap, and no gap
+    # exceeds the span of q.
     members = qs if type(qs) is range else frozenset(qs)
     lowest = EXCEPTIONAL_DISTANCE_BOUND // ps[-1] + 1 if ps else max_gap + 1
+    span = qs[-1] - qs[0] if qs else 0
     if "distance" in chosen or not any(
-        q + gap in members for gap in range(lowest, max_gap + 1) for q in qs
+        q + gap in members for gap in range(lowest, min(max_gap, span) + 1)
+        for q in qs
     ):
         return ()
     return ("pairs at slope distance beyond 8 were evaluated; they cannot "
@@ -385,197 +368,3 @@ def run_enumeration(p_values, q_values, filters="all", max_gap=None,
     result = stream_enumeration(p_values, q_values, filters, max_gap, jobs,
                                 verify)
     return result._replace(pairs=tuple(result.pairs))
-
-
-def _mismatch(verdict, want, fields):
-    # Run once an inline check has failed.  Raises for a pass/fail other
-    # than `want`, then for the first missing or wrong witness field (of
-    # its type: True is not 1), else for any other key.  A field given as
-    # None, as a passing verdict's reason, must be absent.
-    name, passed, w = verdict
-    if passed != want:
-        raise CrossCheckError(
-            f"{name} verdict says {'pass' if passed else 'fail'} but the "
-            f"oracle says {'pass' if want else 'fail'}")
-    fields = {key: value for key, value in fields.items() if value is not None}
-    for key, value in fields.items():
-        try:
-            got = w[key]
-        except (KeyError, TypeError):
-            raise CrossCheckError(f"{name} witness has no {key!r}") from None
-        if type(got) is not type(value) or got != value:
-            raise CrossCheckError(f"{name} witness {key} is {got!r} but the "
-                                  f"oracle gives {value!r}")
-    extra = ([key for key in w if key not in fields]
-             if isinstance(w, dict) else [w])
-    if extra:
-        raise CrossCheckError(f"{name} witness has an extra key {extra[0]!r}")
-
-
-# The oracles below read q only through q mod p, so within one verify
-# pass they are memoized per residue.  The memo is cleared whenever p
-# changes, and it never shares state with the engine's caches.
-
-def _coset_labels(p):
-    # From one scan of the units of p: the unit squares, ascending, and at
-    # each unit the least unit of its coset (q = q' u^2 iff labels agree).
-    units = [u for u in range(1, p) if gcd(u, p) == 1]
-    squares = sorted({u * u % p for u in units})
-    labels = [0] * p
-    for u in units:
-        if not labels[u]:
-            for square in squares:
-                labels[u * square % p] = u
-    return squares, labels
-
-
-def _oracle_facts(memo, r, p, shapes):
-    # For 0 <= r < p: gcd(r, p) and, for a unit r, the direct sum's text
-    # (in lowest terms, so equal texts mean equal sums) and r's coset
-    # label, each only if a trail may hold its filter.
-    wanted = shapes[True] if shapes else FILTER_ORDER
-    g, text, label = gcd(r, p), None, None
-    if g == 1 and "dedekind" in wanted:
-        num, den = direct_numerator(r, p), 4 * p * p
-        k = gcd(num, den)
-        text = f"{num // k}/{den // k}"
-    if g == 1 and "congruence" in wanted:
-        if "cosets" not in memo:
-            memo["cosets"] = _coset_labels(p)
-        label = memo["cosets"][1][r]
-    return memo.setdefault(r, (g, text, label))
-
-
-def _trail_shape(chosen, coprime):
-    # The selected filters plus parity, in FILTER_ORDER; congruence and
-    # Dedekind are undefined, so absent, after a parity failure.
-    return [name for name in FILTER_ORDER[:4 if coprime else 2]
-            if name in chosen or name == "parity"]
-
-
-def _verify_one(record, shapes, memo):
-    # Against the oracles' residue facts; _mismatch runs only to raise.
-    p, q, q_prime, verdicts, surviving = record
-    r, r_prime = q % p, q_prime % p
-    g, s_q, label = memo.get(r) or _oracle_facts(memo, r, p, shapes)
-    h, s_q_prime, label_prime = (memo.get(r_prime)
-                                 or _oracle_facts(memo, r_prime, p, shapes))
-    # Both p/q and p/q' primitive, and neither the meridian 1/0.
-    coprime = 0 not in (q, q_prime) and g == h == 1
-    names = [v.filter_name for v in verdicts]
-    expected_names = (_trail_shape(names, coprime) if shapes is None
-                      else shapes[coprime])
-    if names != expected_names:
-        raise CrossCheckError(f"trail has filters {names}, expected "
-                              f"{expected_names}")
-    delta, all_passed = p * (q_prime - q), True
-    for v in verdicts:
-        name, passed, w = v
-        want = (delta <= EXCEPTIONAL_DISTANCE_BOUND if name == "distance"
-                else coprime if name == "parity"
-                else p == 1 or label == label_prime if name == "congruence"
-                else s_q == s_q_prime)
-        if passed != want:
-            _mismatch(v, want, {})
-        all_passed = all_passed and want
-        # A witness holds its fields, plus, exactly when it fails, the
-        # reason the shared formatter gives for the oracle's values.
-        if name == "distance":
-            reason = None if want else distance_reason(delta)
-            if (type(w) is not dict or w.get("delta") != delta
-                    or type(w["delta"]) is not int
-                    or w.get("reason") != reason or len(w) != 2 - want):
-                _mismatch(v, want, {"delta": delta, "reason": reason})
-        elif name == "dedekind":
-            reason = None if want else dedekind_reason(p, q, q_prime, s_q,
-                                                       s_q_prime)
-            if (type(w) is not dict or w.get("s_q") != s_q
-                    or w.get("s_q_prime") != s_q_prime
-                    or w.get("reason") != reason or len(w) != 3 - want):
-                _mismatch(v, want, {"s_q": s_q, "s_q_prime": s_q_prime,
-                                    "reason": reason})
-        elif name == "congruence" and not want:
-            reason = congruence_reason(p, q, q_prime)
-            squares = memo["cosets"][0]
-            if (type(w) is not dict or w.get("unit_squares") != squares
-                    or w.get("reason") != reason or len(w) != 2):
-                _mismatch(v, want, {"unit_squares": squares,
-                                    "reason": reason})
-            first = w["unit_squares"][0]  # equal lists: True == 1 slips by
-            if type(first) is not int:
-                raise CrossCheckError("congruence witness unit square "
-                                      f"{first!r} is not an integer")
-        elif name == "congruence":
-            if type(w) is not dict or "unit" not in w:
-                raise CrossCheckError("congruence witness has no 'unit'")
-            u = w["unit"]
-            if type(u) is not int:
-                raise CrossCheckError(f"recorded congruence unit {u!r} is "
-                                      "not an integer")
-            if not ((u == 0) if p == 1 else 1 <= u < p and gcd(u, p) == 1
-                    and (q - q_prime * u * u) % p == 0):
-                raise CrossCheckError(f"recorded congruence unit {u} does "
-                                      f"not satisfy q = q' u^2 (mod {p})")
-            if len(w) != 1:
-                _mismatch(v, want, {"unit": u})
-        elif not want:
-            reason = parity_reason(p, q, q_prime, g, h)
-            if type(w) is not dict or w.get("reason") != reason or len(w) != 1:
-                _mismatch(v, want, {"reason": reason})
-        elif w:
-            _mismatch(v, want, {})
-    if surviving != all_passed:
-        raise CrossCheckError("surviving flag is inconsistent with the trail")
-
-
-def _verified(records, kind, filters):
-    # Yields each record once the oracles agree with it; without `filters`
-    # a trail's shape comes from its own filter names.  Mismatches get
-    # their location here, so its text is built only on failure.
-    shapes = None if filters is None else {
-        coprime: _trail_shape(filters, coprime) for coprime in (False, True)
-    }
-    memo, memo_p = {}, None
-    for record in records:
-        if record.p != memo_p:
-            memo.clear()
-            memo_p = record.p
-        try:
-            _verify_one(record, shapes, memo)
-        except CrossCheckError as exc:
-            raise CrossCheckError(
-                f"{kind} p={record.p} q={record.q} q'={record.q_prime}: {exc}"
-            ) from None
-        yield record
-
-
-def verify_pairs(pairs, *, filters=None):
-    """Re-derive every pair verdict from definitional oracles.
-
-    Uses the O(p) direct Dedekind sum and, from one scan of the units of
-    p, each unit's coset of the unit squares (q = q' u^2 for a unit u
-    exactly when q and q' share a coset), apart from the residue table,
-    reciprocity and square roots the engine ran with.  In one call each
-    residue's gcd, direct sum and coset are built once.  Every pass/fail
-    is recomputed, and so are the witness's delta, Dedekind values,
-    congruence unit and unit squares, each of its type (True is not 1).
-    A failing verdict's reason must be the text its formatter
-    (distance_reason, parity_reason, congruence_reason, dedekind_reason)
-    gives for the oracle's values and this pair's q and q'; the engine
-    shares the formatters, so a bug in one is caught only by the report
-    goldens.  Any other witness key is rejected.  With `filters` (as for
-    enumerate_pairs) a trail must hold exactly those filters and parity,
-    in FILTER_ORDER, with congruence and Dedekind absent after a parity
-    failure; without it, any in-order subset that includes parity is
-    accepted.  Raises CrossCheckError on the first disagreement; returns
-    the number of pairs checked.
-    """
-    if filters is not None:
-        filters = _normalize_filters(filters)
-    return sum(1 for _ in _verified(pairs, "pair", filters))
-
-
-def verify_families(families):
-    """verify_pairs for residue families, which carry all four filters,
-    so none survives beyond the exceptional distance bound."""
-    return sum(1 for _ in _verified(families, "family", SELECTABLE_FILTERS))

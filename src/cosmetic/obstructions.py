@@ -32,6 +32,25 @@ class GeometryClass(Enum):
     FINITE_PI1 = "finite_pi1"
 
 
+# Canonical filter order for verdict trails and report columns.  Parity
+# always runs; the other three can be switched off in bulk sweeps.
+FILTER_ORDER = ("distance", "parity", "congruence", "dedekind")
+SELECTABLE_FILTERS = ("distance", "congruence", "dedekind")
+
+
+def _normalize_filters(filters):
+    if filters == "all" or filters is None:
+        return SELECTABLE_FILTERS
+    filters = set(filters)
+    unknown = sorted(filters - set(FILTER_ORDER))
+    if unknown:
+        raise ValueError(
+            f"unknown filter {unknown[0]!r}; choose from "
+            f"{', '.join(SELECTABLE_FILTERS)} (parity always runs)"
+        )
+    return tuple(name for name in SELECTABLE_FILTERS if name in filters)
+
+
 # Largest slope distance any exceptional filling allows; p * gap beyond
 # this cannot be truly cosmetic.
 EXCEPTIONAL_DISTANCE_BOUND = 8

@@ -19,14 +19,8 @@ from operator import attrgetter
 from types import GeneratorType
 
 from . import FORMATS
-from .engine import (
-    ClassificationTable,
-    ClassifyResult,
-    EnumerationResult,
-    FILTER_ORDER,
-    GeometryClass,
-)
-from .obstructions import distance_cap
+from .engine import ClassificationTable, ClassifyResult, EnumerationResult
+from .obstructions import FILTER_ORDER, GeometryClass, distance_cap
 
 REPORT_SCHEMA_VERSION = 1
 

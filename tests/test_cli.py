@@ -71,7 +71,8 @@ def test_cli_import_loads_only_the_cli():
     (["classify", "--p", "5"],
      {"cosmetic.census", "cosmetic.homology", "cosmetic.invariants",
       "cosmetic.slopes", "fractions"}),
-    (["dedekind", "5", "7"], {"cosmetic.engine", "cosmetic.report"}),
+    (["dedekind", "5", "7"],
+     {"cosmetic.engine", "cosmetic.oracle", "cosmetic.report"}),
 ], ids=["enumerate", "classify", "dedekind"])
 def test_a_command_loads_only_what_it_runs(argv, absent):
     loaded = _modules_after(
@@ -81,6 +82,25 @@ def test_a_command_loads_only_what_it_runs(argv, absent):
     )
     assert "cosmetic.dedekind" in loaded
     assert not loaded & (absent | {"dataclasses"})
+
+
+def test_the_package_verifies_without_loading_the_engine():
+    loaded = _modules_after("import cosmetic\ncosmetic.verify_pairs")
+    assert "cosmetic.oracle" in loaded
+    assert "cosmetic.engine" not in loaded
+
+
+@pytest.mark.parametrize("filters", ["all", "congruence"])
+def test_a_huge_max_gap_costs_no_more_than_the_q_span(filters):
+    # No q' lies beyond the largest q, so gaps past the span are never
+    # tried; without the distance filter this also covers the warnings.
+    def sweep(max_gap):
+        return subprocess.run(
+            [sys.executable, "-m", "cosmetic", "enumerate", "--p", "1",
+             "--q", "1..3", "--filters", filters, "--max-gap", max_gap],
+            capture_output=True, text=True, check=True, timeout=30).stdout
+
+    assert sweep("1000000000000") == sweep("2")
 
 
 def test_dedekind_command():

@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from cosmetic import engine, obstructions
+from cosmetic import engine, obstructions, oracle
 from cosmetic.cli import main
 from cosmetic.engine import (
     EXCEPTIONAL_DISTANCE_BOUND,
@@ -51,6 +51,14 @@ def test_family_enumeration_order():
     assert classify_candidates(100) == []
     with pytest.raises(ValueError):
         classify_candidates(0)
+
+
+def test_classify_rejects_a_modulus_that_is_not_an_int():
+    # Bad input, not a failed cross-check: the oracle would reject the
+    # families these would make.
+    for p in (True, 2.0):
+        with pytest.raises(ValueError, match="p must be a positive integer"):
+            classify_candidates(p)
 
 
 def test_survivors_per_p():
@@ -360,8 +368,8 @@ def test_verify_memoizes_oracles_per_residue(monkeypatch):
         calls.append((q % p, p))
         return direct(q, p)
 
-    direct = engine.direct_numerator
-    monkeypatch.setattr(engine, "direct_numerator", counted)
+    direct = oracle.direct_numerator
+    monkeypatch.setattr(oracle, "direct_numerator", counted)
     obstructions._unit_squares.cache_clear()
     result = run_enumeration([127, 131], range(1, 101),
                              filters=["congruence", "dedekind"])
@@ -378,7 +386,7 @@ def test_verify_memoizes_oracles_per_residue(monkeypatch):
             scans.append(b)
         return gcd(a, b)
 
-    monkeypatch.setattr(engine, "gcd", counted_gcd)
+    monkeypatch.setattr(oracle, "gcd", counted_gcd)
     before = obstructions._unit_squares.cache_info()
     verify_pairs(result.pairs, filters=result.filters)
     assert obstructions._unit_squares.cache_info() == before
@@ -494,8 +502,8 @@ def test_verify_builds_each_residue_fact_once(monkeypatch):
         calls.append((p, r))
         return facts(memo, r, p, shapes)
 
-    facts = engine._oracle_facts
-    monkeypatch.setattr(engine, "_oracle_facts", counted)
+    facts = oracle._oracle_facts
+    monkeypatch.setattr(oracle, "_oracle_facts", counted)
     sweep = enumerate_pairs(range(1, 9), range(50000, 51200))
     assert verify_pairs(sweep, filters="all") == 8 * (1200 * 8 - 36)
     assert len(calls) == len(set(calls))
@@ -505,7 +513,7 @@ def test_verify_builds_each_residue_fact_once(monkeypatch):
 
 def test_coset_labels_match_the_unit_search():
     for p in range(1, 65):
-        squares, labels = engine._coset_labels(p)
+        squares, labels = oracle._coset_labels(p)
         units = [u for u in range(1, p) if gcd(u, p) == 1] or [0]
         assert squares == sorted({u * u % p for u in units if u})
         for a in units:
@@ -538,7 +546,7 @@ def _chain(p, q, q_prime, chosen):
 
 def _pairwise(ps, qs, filters):
     # The sweep by definition: the whole filter chain on every pair.
-    chosen = engine._normalize_filters(filters)
+    chosen = obstructions._normalize_filters(filters)
     members = set(qs)
     return [
         _chain(p, q, q + gap, chosen)
