@@ -79,7 +79,7 @@ def cmd_casson_delta2(args):
 
 
 def cmd_congruence(args):
-    from .obstructions import linking_congruence
+    from .obstructions import congruence_reason, linking_congruence
 
     verdict = linking_congruence(args.p, args.q, args.q_prime)
     if verdict.passed:
@@ -88,9 +88,10 @@ def cmd_congruence(args):
             f"with unit u = {verdict.witness['unit']}"
         )
     else:
+        squares = list(verdict.witness["unit_squares"])
         print(
-            f"obstructed: {verdict.witness['reason']} "
-            f"(unit squares mod {args.p}: {verdict.witness['unit_squares']})"
+            f"obstructed: {congruence_reason(args.p, args.q, args.q_prime)} "
+            f"(unit squares mod {args.p}: {squares})"
         )
     return 0
 

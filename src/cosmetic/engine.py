@@ -8,14 +8,16 @@ distance, parity, linking-congruence and Dedekind filters;
 `replicate_theorem` assembles the survivors for p = 1..8 into the
 case-by-case classification table; `enumerate_pairs` sweeps concrete
 (q, q') pairs in bulk, in one process.  A sweep reads q once per residue
-q mod p, runs the filters once per residue class of each p and refills
-per pair only the witness texts that name q.  A family is the pair at
-its smallest positive q, so families and concrete pairs share one record
+q mod p and runs the filters once per residue class of each p; every
+later pair of a class shares its verdicts, since a witness holds only
+numbers and never a text that names q.  A family is the pair at its
+smallest positive q, so families and concrete pairs share one record
 type, `PairVerdict`.
 
 `cosmetic.oracle` re-derives every verdict in the verify pass.
 """
 
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from math import gcd
 
@@ -27,13 +29,9 @@ from .obstructions import (
     GeometryClass,
     ObstructionVerdict,
     _normalize_filters,
-    congruence_reason,
     congruence_verdict,
-    dedekind_reason,
     dedekind_verdict,
     distance_cap,
-    distance_reason,
-    parity_reason,
     parity_verdict,
 )
 from .oracle import _verified, verify_families, verify_pairs
@@ -163,22 +161,18 @@ def _evaluate(p, q, q_prime, filters, residues):
     verdicts = []
     if "distance" in filters:
         delta = p * (q_prime - q)
-        passed = delta <= EXCEPTIONAL_DISTANCE_BOUND
-        witness = {"delta": delta}
-        if not passed:
-            witness["reason"] = distance_reason(delta)
-        verdicts.append(ObstructionVerdict("distance", passed, witness))
+        verdicts.append(ObstructionVerdict(
+            "distance", delta <= EXCEPTIONAL_DISTANCE_BOUND, {"delta": delta}))
     g, t_q, s_q, q_inverse = residues[q % p]
     h, t_q_prime, s_q_prime, q_prime_inverse = residues[q_prime % p]
-    parity = parity_verdict(p, q, q_prime, g, h)
+    parity = parity_verdict(q, q_prime, g, h)
     verdicts.append(parity)
     if parity.passed:
         if "congruence" in filters:
             verdicts.append(congruence_verdict(p, q, q_prime, q_inverse,
                                                q_prime_inverse))
         if "dedekind" in filters:
-            verdicts.append(dedekind_verdict(p, q, q_prime, t_q, t_q_prime,
-                                             s_q, s_q_prime))
+            verdicts.append(dedekind_verdict(t_q, t_q_prime, s_q, s_q_prime))
     surviving = True
     for v in verdicts:
         surviving = surviving and v[1]
@@ -253,20 +247,20 @@ def replicate_theorem(verify=True):
     return ClassificationTable(sections, notes, evaluated)
 
 
-_REASONS = {"parity": parity_reason, "congruence": congruence_reason,
-            "dedekind": dedekind_reason}  # the failing reasons that name q
-
-
-def _ascending(values):
-    # Sorted and unique.  A range with a positive step already is, with
-    # O(1) membership, so it is kept: memory stays flat in its length.
+def _ascending(values, what):
+    # Sorted and unique integers.  A range with a positive step already
+    # is, so it is kept: memory stays flat in its length.
     if type(values) is range and values.step > 0:
         return values
-    return sorted({int(v) for v in values})
+    values = list(values)
+    for v in values:
+        if type(v) is not int:
+            raise ValueError(f"{what} values must be integers, not {v!r}")
+    return sorted(set(values))
 
 
 def _sweep_settings(p_values, q_values, filters, max_gap, jobs):
-    ps, qs = _ascending(p_values), _ascending(q_values)
+    ps, qs = _ascending(p_values, "p"), _ascending(q_values, "q")
     if ps and ps[0] < 1:
         raise ValueError("p must be a positive integer")
     if max_gap is None:
@@ -288,60 +282,38 @@ def enumerate_pairs(p_values, q_values, filters="all", max_gap=None, jobs=1):
     the remaining filters are reported as skipped.  The sweep runs in
     this process: `jobs` must be at least 1 and never changes the output.
     For each p the filter chain runs once per residue class, on facts
-    built once per residue q mod p (_Residues).  Later pairs share the
-    class's first verdicts read-only; at its first reuse the class lists
-    each failing verdict whose reason names q, with its formatter, and a
-    later pair gets its own copy of those witnesses.
+    built once per residue q mod p (_Residues); every later pair of the
+    class shares the class's first verdicts and surviving flag.  Each q
+    walks only the q' above it up to q + max_gap, so a sparse q set costs
+    its pairs, not its span.
     """
     ps, qs, chosen, max_gap = _sweep_settings(p_values, q_values, filters,
                                               max_gap, jobs)
-    members = qs if type(qs) is range else frozenset(qs)
-    top = qs[-1] if qs else 0  # no q' lies beyond the largest q
     new = tuple.__new__
     for p in ps:
         # At p = 1 a pair holding q = 0 (the meridian) is a class of its
         # own.  Later records skip __new__'s checks: the first passed them.
         classes, residues = {}, _Residues(p)
-        for q in qs:
-            for gap in range(1, min(max_gap, top - q) + 1):
-                q_prime = q + gap
-                if q_prime not in members:
-                    continue
-                key = (q % p, gap, 0 in (q, q_prime))
-                entry = classes.get(key)
-                if entry is None:
+        for i, q in enumerate(qs):
+            for q_prime in qs[i + 1:bisect_right(qs, q + max_gap, i + 1)]:
+                key = (q % p, q_prime - q, 0 in (q, q_prime))
+                first = classes.get(key)
+                if first is None:
                     classes[key] = first = _evaluate(p, q, q_prime, chosen,
                                                      residues)
                     yield first
-                    continue
-                if type(entry) is PairVerdict:  # the class's first reuse
-                    gcds = residues[key[0]][0], residues[q_prime % p][0]
-                    entry = classes[key] = entry.verdicts, entry.surviving, [
-                        (i, name, w, _REASONS[name], gcds if name == "parity"
-                         else () if name == "congruence"
-                         else (w["s_q"], w["s_q_prime"]))
-                        for i, (name, passed, w) in enumerate(entry.verdicts)
-                        if not (passed or name == "distance")]
-                verdicts, surviving, refills = entry
-                if refills:
-                    verdicts = list(verdicts)
-                    for i, name, w, reason, args in refills:
-                        verdicts[i] = new(ObstructionVerdict, (name, False, {
-                            **w, "reason": reason(p, q, q_prime, *args)}))
-                    verdicts = tuple(verdicts)
-                yield new(PairVerdict, (p, q, q_prime, verdicts, surviving))
+                else:
+                    yield new(PairVerdict, (p, q, q_prime, first[3], first[4]))
 
 
 def _distance_warnings(ps, qs, chosen, max_gap):
     # Without the distance filter, warn if the sweep holds a pair with
-    # p * gap > 8; the largest p needs the smallest such gap, and no gap
-    # exceeds the span of q.
-    members = qs if type(qs) is range else frozenset(qs)
+    # p * gap > 8; the largest p needs the smallest such gap, and the
+    # least q' at that gap or beyond is found by bisection.
     lowest = EXCEPTIONAL_DISTANCE_BOUND // ps[-1] + 1 if ps else max_gap + 1
-    span = qs[-1] - qs[0] if qs else 0
-    if "distance" in chosen or not any(
-        q + gap in members for gap in range(lowest, min(max_gap, span) + 1)
-        for q in qs
+    if "distance" in chosen or lowest > max_gap or not any(
+        (j := bisect_left(qs, q + lowest, i + 1)) < len(qs)
+        and qs[j] <= q + max_gap for i, q in enumerate(qs)
     ):
         return ()
     return ("pairs at slope distance beyond 8 were evaluated; they cannot "

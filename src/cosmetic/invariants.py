@@ -150,5 +150,5 @@ def cosmetic_dedekind_obstruction(p, q, q_prime):
     Dedekind sums, compared as integers over 12 p.  The witness records
     both values either way."""
     t_q, t_q_prime = scaled_dedekind_sum(q, p), scaled_dedekind_sum(q_prime, p)
-    return dedekind_verdict(p, q, q_prime, t_q, t_q_prime, sum_text(t_q, p),
+    return dedekind_verdict(t_q, t_q_prime, sum_text(t_q, p),
                             sum_text(t_q_prime, p))

@@ -12,8 +12,8 @@ filters before it can be truly cosmetic:
 * distance cap: each exceptional geometry bounds the intersection number
   p * |q - q'| of the two slopes.
 
-Each filter reports an ObstructionVerdict carrying enough of a witness to
-replay the conclusion by hand.
+Each filter reports an ObstructionVerdict carrying the numbers that
+replay the conclusion by hand; `reason` renders a failing one as text.
 """
 
 from collections import namedtuple
@@ -77,9 +77,11 @@ class ObstructionVerdict(
         namedtuple("ObstructionVerdict", "filter_name passed witness")):
     """Outcome of one filter on one candidate pair.
 
-    `witness` explains the outcome: on failure it is always present (the
-    reports replay each exclusion from it), and a passing congruence
-    records the unit u with q = q' * u^2 (mod p).
+    `witness` holds the numbers that replay the outcome: the slope
+    distance, the two Dedekind sums, the unit squares of a failing
+    congruence, the unit u with q = q' * u^2 (mod p) of a passing one.  A
+    failing verdict always carries one (a failing parity's is {}); its
+    text is never stored, and `reason` renders it from these numbers.
     """
 
     __slots__ = ()
@@ -100,14 +102,15 @@ _new = tuple.__new__  # for builders whose failing verdicts carry witnesses
 def _unit_squares(p):
     # {u^2 mod p: the smallest unit u with that square} and the squares in
     # ascending order, by one O(p) scan.  Every caller shares both and
-    # only reads them: each failing congruence witness of p holds the list.
+    # only reads the dict; each failing congruence witness of p holds the
+    # tuple, which no caller can edit.
     if p == 1:
-        return {0: 0}, [0]
+        return {0: 0}, (0,)
     roots = {}
     for u in range(1, p):
         if gcd(u, p) == 1:
             roots.setdefault(u * u % p, u)
-    return roots, sorted(roots)
+    return roots, tuple(sorted(roots))
 
 
 def unit_squares_mod(p):
@@ -144,7 +147,7 @@ def congruence_verdict(p, q, q_prime, q_inverse, q_prime_inverse):
     """linking_congruence from q^-1 and q'^-1 mod p.  The witness is the
     smallest root of q / q' (or the inverse of that of q' / q) on a
     residue-ordered side, so swapping q and q' inverts it.  A failing
-    witness holds p's one shared list of unit squares, read-only."""
+    witness holds p's one shared tuple of unit squares."""
     roots, squares = _unit_squares(p)
     if q % p <= q_prime % p:
         u = roots.get(q * q_prime_inverse % p)
@@ -153,17 +156,14 @@ def congruence_verdict(p, q, q_prime, q_inverse, q_prime_inverse):
         u = None if v is None else pow(v, -1, p)
     if u is not None:
         return _new(ObstructionVerdict, ("congruence", True, {"unit": u}))
-    return _new(ObstructionVerdict, ("congruence", False, {
-        "reason": congruence_reason(p, q, q_prime),
-        "unit_squares": squares}))
+    return _new(ObstructionVerdict, ("congruence", False,
+                                     {"unit_squares": squares}))
 
 
-def dedekind_verdict(p, q, q_prime, t_q, t_q_prime, s_q, s_q_prime):
+def dedekind_verdict(t_q, t_q_prime, s_q, s_q_prime):
     """cosmetic_dedekind_obstruction from T = 12 p s and s's text."""
-    witness = {"s_q": s_q, "s_q_prime": s_q_prime}
-    if t_q != t_q_prime:
-        witness["reason"] = dedekind_reason(p, q, q_prime, s_q, s_q_prime)
-    return _new(ObstructionVerdict, ("dedekind", t_q == t_q_prime, witness))
+    return _new(ObstructionVerdict, ("dedekind", t_q == t_q_prime,
+                                     {"s_q": s_q, "s_q_prime": s_q_prime}))
 
 
 def congruence_reason(p, q, q_prime):
@@ -196,15 +196,29 @@ def parity_reason(p, q, q_prime, g, h):
     return None
 
 
+def reason(p, q, q_prime, verdict):
+    """The text of a failing verdict of the pair p/q, p/q', rendered from
+    its witness and the pair: the reports' detail and JSON "reason"."""
+    name, _, witness = verdict
+    if name == "distance":
+        return distance_reason(witness["delta"])
+    if name == "parity":
+        return parity_reason(p, q, q_prime, gcd(q, p), gcd(q_prime, p))
+    if name == "congruence":
+        return congruence_reason(p, q, q_prime)
+    return dedekind_reason(p, q, q_prime, witness["s_q"],
+                           witness["s_q_prime"])
+
+
 _PARITY_PASSED = ObstructionVerdict("parity", True)
 
 
-def parity_verdict(p, q, q_prime, g, h):
+def parity_verdict(q, q_prime, g, h):
     """parity_filter given g = gcd(q, p) and h = gcd(q', p); a pass is
-    one shared verdict."""
-    reason = parity_reason(p, q, q_prime, g, h)
-    return _PARITY_PASSED if reason is None else ObstructionVerdict(
-        "parity", False, {"reason": reason})
+    one shared verdict, a failure has an empty witness of its own."""
+    if g == h == 1 and 0 not in (q, q_prime):
+        return _PARITY_PASSED
+    return _new(ObstructionVerdict, ("parity", False, {}))
 
 
 def parity_filter(p, q, q_prime):
@@ -218,4 +232,4 @@ def parity_filter(p, q, q_prime):
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
-    return parity_verdict(p, q, q_prime, gcd(q, p), gcd(q_prime, p))
+    return parity_verdict(q, q_prime, gcd(q, p), gcd(q_prime, p))

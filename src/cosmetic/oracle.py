@@ -6,8 +6,9 @@ cosets of the unit squares from one scan of the units of p.  They read
 none of the engine's tables or caches, and this module never imports the
 engine.  The oracles read q only through q mod p, so within one verify
 pass they are memoized per residue; the memo is cleared whenever p
-changes.  The reason formatters are shared with the engine, so a bug in
-one is caught only by the report goldens.  The CLI exits 2 on a mismatch.
+changes.  A witness holds numbers only: a reason text is rendered by the
+report and never stored, so a stored "reason" key is an extra key.  The
+CLI exits 2 on a mismatch.
 """
 
 from math import gcd
@@ -19,24 +20,18 @@ from .obstructions import (
     FILTER_ORDER,
     SELECTABLE_FILTERS,
     _normalize_filters,
-    congruence_reason,
-    dedekind_reason,
-    distance_reason,
-    parity_reason,
 )
 
 
 def _mismatch(verdict, want, fields):
     # Run once an inline check has failed.  Raises for a pass/fail other
     # than `want`, then for the first missing or wrong witness field (of
-    # its type: True is not 1), else for any other key.  A field given as
-    # None, as a passing verdict's reason, must be absent.
+    # its type: True is not 1), else for any other key.
     name, passed, w = verdict
     if passed != want:
         raise CrossCheckError(
             f"{name} verdict says {'pass' if passed else 'fail'} but the "
             f"oracle says {'pass' if want else 'fail'}")
-    fields = {key: value for key, value in fields.items() if value is not None}
     for key, value in fields.items():
         try:
             got = w[key]
@@ -55,7 +50,7 @@ def _coset_labels(p):
     # From one scan of the units of p: the unit squares, ascending, and at
     # each unit the least unit of its coset (q = q' u^2 iff labels agree).
     units = [u for u in range(1, p) if gcd(u, p) == 1]
-    squares = sorted({u * u % p for u in units})
+    squares = tuple(sorted({u * u % p for u in units}))
     labels = [0] * p
     for u in units:
         if not labels[u]:
@@ -117,30 +112,21 @@ def _verify_one(record, shapes, memo):
         if passed != want:
             _mismatch(v, want, {})
         all_passed = all_passed and want
-        # A witness holds its fields, plus, exactly when it fails, the
-        # reason the shared formatter gives for the oracle's values.
+        # A witness holds exactly its filter's fields, and no text.
         if name == "distance":
-            reason = None if want else distance_reason(delta)
             if (type(w) is not dict or w.get("delta") != delta
-                    or type(w["delta"]) is not int
-                    or w.get("reason") != reason or len(w) != 2 - want):
-                _mismatch(v, want, {"delta": delta, "reason": reason})
+                    or type(w["delta"]) is not int or len(w) != 1):
+                _mismatch(v, want, {"delta": delta})
         elif name == "dedekind":
-            reason = None if want else dedekind_reason(p, q, q_prime, s_q,
-                                                       s_q_prime)
             if (type(w) is not dict or w.get("s_q") != s_q
-                    or w.get("s_q_prime") != s_q_prime
-                    or w.get("reason") != reason or len(w) != 3 - want):
-                _mismatch(v, want, {"s_q": s_q, "s_q_prime": s_q_prime,
-                                    "reason": reason})
+                    or w.get("s_q_prime") != s_q_prime or len(w) != 2):
+                _mismatch(v, want, {"s_q": s_q, "s_q_prime": s_q_prime})
         elif name == "congruence" and not want:
-            reason = congruence_reason(p, q, q_prime)
             squares = memo["cosets"][0]
             if (type(w) is not dict or w.get("unit_squares") != squares
-                    or w.get("reason") != reason or len(w) != 2):
-                _mismatch(v, want, {"unit_squares": squares,
-                                    "reason": reason})
-            first = w["unit_squares"][0]  # equal lists: True == 1 slips by
+                    or len(w) != 1):
+                _mismatch(v, want, {"unit_squares": squares})
+            first = w["unit_squares"][0]  # equal tuples: True == 1 slips by
             if type(first) is not int:
                 raise CrossCheckError("congruence witness unit square "
                                       f"{first!r} is not an integer")
@@ -157,11 +143,7 @@ def _verify_one(record, shapes, memo):
                                       f"not satisfy q = q' u^2 (mod {p})")
             if len(w) != 1:
                 _mismatch(v, want, {"unit": u})
-        elif not want:
-            reason = parity_reason(p, q, q_prime, g, h)
-            if type(w) is not dict or w.get("reason") != reason or len(w) != 1:
-                _mismatch(v, want, {"reason": reason})
-        elif w:
+        elif w or not (want or type(w) is dict):  # parity: {} or no witness
             _mismatch(v, want, {})
     if surviving != all_passed:
         raise CrossCheckError("surviving flag is inconsistent with the trail")
@@ -198,12 +180,11 @@ def verify_pairs(pairs, *, filters=None):
     residue's gcd, direct sum and coset are built once.  A record must be
     a pair p/q, p/q' of integers with p >= 1 and q < q'.  Every pass/fail
     is recomputed, and so are the witness's delta, Dedekind values,
-    congruence unit and unit squares, each of its type (True is not 1).
-    A failing verdict's reason must be the text its formatter
-    (distance_reason, parity_reason, congruence_reason, dedekind_reason)
-    gives for the oracle's values and this pair's q and q'; the engine
-    shares the formatters, so a bug in one is caught only by the report
-    goldens.  Any other witness key is rejected.  With `filters` (as for
+    congruence unit and unit squares, each of its type (True is not 1; a
+    list is not the tuple of unit squares).  Any other witness key is
+    rejected, a stored "reason" included: reasons are rendered from
+    these numbers (obstructions.reason) and never stored.  A failing
+    parity witness is {}.  With `filters` (as for
     enumerate_pairs) a trail must hold exactly those filters and parity,
     in FILTER_ORDER, with congruence and Dedekind absent after a parity
     failure; without it, any in-order subset that includes parity is

@@ -20,7 +20,7 @@ from types import GeneratorType
 
 from . import FORMATS
 from .engine import ClassificationTable, ClassifyResult, EnumerationResult
-from .obstructions import FILTER_ORDER, GeometryClass, distance_cap
+from .obstructions import FILTER_ORDER, GeometryClass, distance_cap, reason
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -42,6 +42,18 @@ def _residue(record):
     return "any" if record.p == 1 else record.q_residue
 
 
+def _witness(r, v):
+    # Schema 1 holds a failing verdict's reason: first in a congruence
+    # witness, last in the others (alone in a parity witness, {}).  A
+    # hand-built parity failure of a coprime pair has none.
+    text = None if v.passed else reason(r.p, r.q, r.q_prime, v)
+    if text is None:
+        return v.witness
+    if v.filter_name == "congruence":
+        return {"reason": text, **v.witness}
+    return {**v.witness, "reason": text}
+
+
 def _record_dicts(records, family):
     for r in records:
         key = ({"q_residue": _residue(r)} if family
@@ -49,17 +61,19 @@ def _record_dicts(records, family):
         yield {"p": r.p, **key, "gap": r.gap, "delta": r.delta,
                "surviving": r.surviving, "verdicts": [
                    {"filter": v.filter_name, "passed": v.passed,
-                    "witness": v.witness} for v in r.verdicts]}
+                    "witness": _witness(r, v)} for v in r.verdicts]}
 
 
-def _detail(verdicts):
+def _detail(p, q, q_prime, verdicts):
+    # Each failing verdict's reason and a passing congruence's unit (but
+    # not the unit 0 of p = 1), in trail order.
     notes = []
     for v in verdicts:
-        if not v.passed and "reason" in v.witness:
-            notes.append(v.witness["reason"])
-        elif v.filter_name == "congruence" and v.passed and v.witness["unit"]:
+        if not v.passed:
+            notes.append(reason(p, q, q_prime, v))
+        elif v.filter_name == "congruence" and v.witness["unit"]:
             notes.append(f"unit {v.witness['unit']}")
-    return "; ".join(notes)
+    return "; ".join(filter(None, notes))
 
 
 def _cells(records, selected, tally, sep):
@@ -147,7 +161,7 @@ def _theorem_report(table, fmt, out):
     if fmt == "csv":
         return _lines(out, chain(["geometry,p,q_residue,gap,delta,detail"], (
             f"{geometry.value},{f.p},{_residue(f)},{f.gap},{f.delta},"
-            f"{_csv_cell(_detail(f.verdicts))}"
+            f"{_csv_cell(_detail(*f[:4]))}"
             for geometry, families in sections for f in families)))
     lines = [
         "# Truly cosmetic exceptional surgeries: surviving slope families",
@@ -164,7 +178,7 @@ def _theorem_report(table, fmt, out):
             "",
         ]
         for f in families:
-            bits = [f.describe(), f"delta = {f.delta}", _detail(f.verdicts)]
+            bits = [f.describe(), f"delta = {f.delta}", _detail(*f[:4])]
             lines.append("- " + "; ".join(bit for bit in bits if bit))
         if not families:
             note = table.note_for(geometry)
@@ -188,11 +202,11 @@ def _classify_report(result, fmt, out):
         header = ["p", "q_residue", "gap", "delta"] + _VERDICT_COLUMNS
         return _lines(out, chain([",".join(header)], (
             f"{f.p},{_residue(f)},{f.gap},{f.delta},{cells},"
-            f"{_csv_cell(_detail(f.verdicts))}" for f, cells in families)))
+            f"{_csv_cell(_detail(*f[:4]))}" for f, cells in families)))
     _markdown(
         out, [f"# Residue families for p = {result.p}", ""],
         ["family", "delta"] + _VERDICT_COLUMNS,
-        (f"| {f.describe()} | {f.delta} | {cells} | {_detail(f.verdicts)} |"
+        (f"| {f.describe()} | {f.delta} | {cells} | {_detail(*f[:4])} |"
          for f, cells in families))
     out.write(f"\n{tally[True]} of {sum(tally)} families survive.\n")
 
@@ -217,7 +231,7 @@ def _enumeration_report(result, fmt, out):
         header = ["p", "q", "q_prime", "gap", "delta"] + _VERDICT_COLUMNS
         return _lines(out, chain([",".join(header)], (
             f"{p},{q},{q_prime},{q_prime - q},{p * (q_prime - q)},{cells},"
-            f"{_csv_cell(_detail(verdicts))}"
+            f"{_csv_cell(_detail(p, q, q_prime, verdicts))}"
             for (p, q, q_prime, verdicts, _), cells in rows)))
     preamble = ["# Pair sweep", ""]
     for warning in result.warnings:

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 import tracemalloc
 from itertools import islice
 from math import gcd
@@ -28,6 +30,7 @@ from cosmetic.obstructions import (
     ObstructionVerdict,
     linking_congruence,
     parity_filter,
+    reason,
 )
 from cosmetic.report import emit_report
 
@@ -128,15 +131,16 @@ def test_verify_checks_congruence_witness():
     (p7,) = run_enumeration([7], [1, 8]).pairs
     (p1,) = run_enumeration([1], [1, 2]).pairs
     (p3,) = run_enumeration([3], [1, 2]).pairs
-    assert p3.verdicts[2].witness["unit_squares"] == [1]
+    assert p3.verdicts[2].witness["unit_squares"] == (1,)
     for record, verdict in [
         *((pair, ObstructionVerdict("congruence", True, {"unit": unit}))
           for unit in (None, "1", 1.0)),
         (p7, ObstructionVerdict("congruence", True, {"unit": True})),
         (p1, ObstructionVerdict("distance", True, {"delta": True})),
         (p3, ObstructionVerdict("congruence", False, {
-            "reason": "no unit square maps 2 to 1 mod 3",
-            "unit_squares": [True]})),
+            "unit_squares": (True,)})),
+        # Equal as a list, but a list is not the tuple of unit squares.
+        (p3, ObstructionVerdict("congruence", False, {"unit_squares": [1]})),
     ]:
         with pytest.raises(CrossCheckError):
             verify_pairs([_swapped(record, verdict)])
@@ -244,9 +248,36 @@ def test_sweep_memory_is_flat_in_the_q_range():
     peak(20_000)  # the first sweep's one-time allocations
     assert peak(200_000) <= 1.25 * peak(20_000)
     # Other iterables are sorted and deduplicated, as a range already is.
-    for qs in (range(1, 40, 3), range(39, 0, -3), [7, 1, 7, 4.0, 37]):
-        expected = run_enumeration([3, 5], sorted(set(map(int, qs))))
+    for qs in (range(1, 40, 3), range(39, 0, -3), [7, 1, 7, 4, 37]):
+        expected = run_enumeration([3, 5], sorted(set(qs)))
         assert run_enumeration([3, 5], qs) == expected
+
+
+def test_sweep_takes_only_integers():
+    # Nothing is rounded: 5.7 and 1.5 are not p 5 and q 1.
+    for ps, qs, bad in (([5.7], [1.5, 2.9], "p values must be integers, "
+                         "not 5.7"),
+                        ([5], [1, 2.0], "q values must be integers, not 2.0"),
+                        ([5], [1, True], "q values must be integers, not "
+                         "True"),
+                        ([True], range(1, 5), "p values must be integers, "
+                         "not True"),
+                        ([3], ["1", "2"], "q values must be integers, not "
+                         "'1'")):
+        with pytest.raises(ValueError, match=bad):
+            run_enumeration(ps, qs)
+
+
+def test_sparse_sweep_costs_its_pairs_not_its_span():
+    # Two q 10^12 apart make one pair; the sweep must not try every gap.
+    code = ("from cosmetic.engine import run_enumeration\n"
+            "result = run_enumeration([1], [0, 10**12], max_gap=10**13)\n"
+            "assert [(pv.q, pv.q_prime) for pv in result.pairs] == "
+            "[(0, 10**12)]\n"
+            "loose = run_enumeration([1], [0, 10**12], ['congruence'],\n"
+            "                        max_gap=10**13)\n"
+            "assert loose.warnings\n")
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=30)
 
 
 def test_run_classification_verifies_by_default():
@@ -269,8 +300,8 @@ def test_meridian_pairs_do_not_survive():
     assert [key for key, pv in by_pair.items() if pv.surviving] == [(1, 2)]
     for key in ((0, 1), (0, 2)):
         parity = {v.filter_name: v for v in by_pair[key].verdicts}["parity"]
-        assert not parity.passed
-        assert "meridian" in parity.witness["reason"]
+        assert not parity.passed and parity.witness == {}
+        assert "meridian" in reason(1, *key, parity)
     forged = PairVerdict(1, 0, 1, (ObstructionVerdict("parity", True),), True)
     with pytest.raises(CrossCheckError):
         verify_pairs([forged])
@@ -307,7 +338,7 @@ def test_verify_reports_a_missing_witness_key():
 
 
 def _corrupted(value):
-    if isinstance(value, list):
+    if isinstance(value, tuple):
         return value[1:]
     if isinstance(value, str):
         return "forged"
@@ -315,17 +346,17 @@ def _corrupted(value):
 
 
 def _mutants(record):
-    """Each verdict flipped, dropped, with each witness field (a failing
-    verdict's reason included) corrupted, with a key its filter never
-    writes and, if it fails, without its reason, and the surviving flag
-    flipped: every single-point corruption of the record."""
+    """Each verdict flipped, dropped, with each witness field corrupted,
+    with a key its filter never writes (a stored reason included) and the
+    surviving flag flipped: every single-point corruption of the
+    record."""
     def rebuild(verdicts):
         return record._replace(verdicts=tuple(verdicts),
                                surviving=all(v.passed for v in verdicts))
 
     trail = list(record.verdicts)
     for i, v in enumerate(trail):
-        witness = v.witness or {"reason": "forged"}
+        witness = v.witness if v.witness is not None else {}
         flipped = ObstructionVerdict(v.filter_name, not v.passed, witness)
         yield rebuild(trail[:i] + [flipped] + trail[i + 1:])
         yield rebuild(trail[:i] + trail[i + 1:])
@@ -333,14 +364,10 @@ def _mutants(record):
             bad = dict(v.witness, **{key: _corrupted(v.witness[key])})
             forged = ObstructionVerdict(v.filter_name, v.passed, bad)
             yield rebuild(trail[:i] + [forged] + trail[i + 1:])
-        for key in ["extra"] + ["reason"] * v.passed:
+        for key in ("extra", "reason"):
             extra = ObstructionVerdict(v.filter_name, v.passed,
                                        {**(v.witness or {}), key: "forged"})
             yield rebuild(trail[:i] + [extra] + trail[i + 1:])
-        if not v.passed:
-            bare = {k: x for k, x in v.witness.items() if k != "reason"}
-            unexplained = ObstructionVerdict(v.filter_name, False, bare)
-            yield rebuild(trail[:i] + [unexplained] + trail[i + 1:])
     yield record._replace(surviving=not record.surviving)
 
 
@@ -432,14 +459,10 @@ def test_verify_error_texts_are_pinned():
     half = ObstructionVerdict(
         "parity", False, {"reason": "gcd(2, 6) = 2, so not a slope pair"})
     assert _error(verify_pairs, [_swapped(p6, half)]) == (
-        "pair p=6 q=2 q'=3: parity witness reason is 'gcd(2, 6) = 2, so not "
-        "a slope pair' but the oracle gives 'gcd(2, 6) = 2 and gcd(3, 6) = 3, "
-        "so not a slope pair'")
+        "pair p=6 q=2 q'=3: parity witness has an extra key 'reason'")
     forged = ObstructionVerdict("parity", False, {"reason": "forged"})
     assert _error(verify_pairs, [_swapped(meridian, forged)]) == (
-        "pair p=1 q=0 q'=1: parity witness reason is 'forged' but the oracle "
-        "gives '1/0 is the meridian, whose filling is the trivial surgery, "
-        "so not a cosmetic pair'")
+        "pair p=1 q=0 q'=1: parity witness has an extra key 'reason'")
     unit = ObstructionVerdict("congruence", True, {"unit": 4})
     assert _error(verify_pairs, [_swapped(p5, unit)]) == (
         "pair p=5 q=2 q'=3: recorded congruence unit 4 does not satisfy "
@@ -458,41 +481,18 @@ def test_verify_error_texts_are_pinned():
         witness={**dedekind.witness, "unit": 1}))
     assert _error(verify_pairs, [extra]) == (
         at + "dedekind witness has an extra key 'unit'")
-    # A failing verdict must say why: the reason is the report's detail.
+    # A reason is rendered, never stored: even the right text is an extra
+    # key, on a failing verdict of each filter.
     (p3_far,) = run_enumeration([3], [1, 4]).pairs
     (p3,) = run_enumeration([3], [1, 2]).pairs
     for record, i, name in ((p7, 3, "dedekind"), (p3_far, 0, "distance"),
-                            (p3, 2, "congruence")):
+                            (p3, 2, "congruence"), (p6, 1, "parity")):
         v = record.verdicts[i]
         assert v.filter_name == name and not v.passed
-        unexplained = _swapped(record, v._replace(witness={
-            k: x for k, x in v.witness.items() if k != "reason"}))
-        assert _error(verify_pairs, [unexplained]).endswith(
-            f": {name} witness has no 'reason'")
-
-
-def test_verify_checks_each_reason_text():
-    # Reason corruptions that keep every other witness field: each failing
-    # reason must be the shared formatter's text for this pair.
-    pairs = run_enumeration([7], range(1, 40)).pairs
-
-    def first_failing(name):
-        return next((record, v) for record in pairs for v in record.verdicts
-                    if v.filter_name == name and not v.passed)
-
-    for name, forge in (
-        ("dedekind", lambda reason: "s(8, 7) nonsense"),
-        ("congruence", lambda reason: reason.replace("mod 7", "mod 999")),
-        ("distance", lambda reason: "nonsense"),
-        ("parity", lambda reason: reason + ", twice"),
-    ):
-        record, v = first_failing(name)
-        bad = v._replace(witness={**v.witness,
-                                  "reason": forge(v.witness["reason"])})
-        assert bad.witness["reason"] != v.witness["reason"]
-        assert _error(verify_pairs, [_swapped(record, bad)]).endswith(
-            f"{name} witness reason is {bad.witness['reason']!r} but the "
-            f"oracle gives {v.witness['reason']!r}")
+        told = _swapped(record, v._replace(witness={
+            **v.witness, "reason": reason(*record[:3], v)}))
+        assert _error(verify_pairs, [told]).endswith(
+            f": {name} witness has an extra key 'reason'")
 
 
 def test_verify_builds_each_residue_fact_once(monkeypatch):
@@ -515,7 +515,7 @@ def test_coset_labels_match_the_unit_search():
     for p in range(1, 65):
         squares, labels = oracle._coset_labels(p)
         units = [u for u in range(1, p) if gcd(u, p) == 1] or [0]
-        assert squares == sorted({u * u % p for u in units if u})
+        assert squares == tuple(sorted({u * u % p for u in units if u}))
         for a in units:
             for b in units:
                 related = any((a - b * u * u) % p == 0 for u in units)
@@ -529,11 +529,8 @@ def _chain(p, q, q_prime, chosen):
     verdicts = []
     if "distance" in chosen:
         delta = p * (q_prime - q)
-        witness = {"delta": delta}
-        if delta > 8:
-            witness["reason"] = (f"slope distance {delta} exceeds the "
-                                 "exceptional bound 8")
-        verdicts.append(ObstructionVerdict("distance", delta <= 8, witness))
+        verdicts.append(ObstructionVerdict("distance", delta <= 8,
+                                           {"delta": delta}))
     verdicts.append(parity_filter(p, q, q_prime))
     if verdicts[-1].passed:
         if "congruence" in chosen:
@@ -544,14 +541,14 @@ def _chain(p, q, q_prime, chosen):
                        all(v.passed for v in verdicts))
 
 
-def _pairwise(ps, qs, filters):
+def _pairwise(ps, qs, filters, max_gap):
     # The sweep by definition: the whole filter chain on every pair.
     chosen = obstructions._normalize_filters(filters)
     members = set(qs)
     return [
         _chain(p, q, q + gap, chosen)
         for p in sorted(set(ps)) for q in sorted(members)
-        for gap in range(1, EXCEPTIONAL_DISTANCE_BOUND + 1)
+        for gap in range(1, (max_gap or EXCEPTIONAL_DISTANCE_BOUND) + 1)
         if q + gap in members
     ]
 
@@ -565,14 +562,19 @@ def _witness_keys(records):
                                      ["congruence", "dedekind"]],
                          ids=["all", "parity-only", "distance",
                               "congruence-dedekind"])
-@pytest.mark.parametrize("ps, qs", [
-    (range(1, 13), range(-20, 41)),
-    (range(1, 13), [-9, -4, -1, 0, 1, 2, 3, 7, 11, 12, 30, 31, 38, 101]),
-    ([131], range(1, 301)),
-], ids=["window-through-zero", "sparse", "p131-window"])
-def test_class_table_matches_the_pairwise_chain(ps, qs, filters, jobs):
-    got = list(enumerate_pairs(ps, qs, filters, None, jobs))
-    want = _pairwise(ps, qs, filters)
+@pytest.mark.parametrize("ps, qs, max_gap", [
+    (range(1, 13), range(-20, 41), None),
+    (range(1, 13), [-9, -4, -1, 0, 1, 2, 3, 7, 11, 12, 30, 31, 38, 101],
+     None),
+    ([131], range(1, 301), None),
+    # Gaps past 8 but short of the q span: the walk stops at q + max_gap.
+    (range(1, 13), [180, -250, 0, -9, 2, 333, 31, 77, -97, 1, 30, 101, -40],
+     100),
+], ids=["window-through-zero", "sparse", "p131-window", "unsorted-wide-gap"])
+def test_class_table_matches_the_pairwise_chain(ps, qs, max_gap, filters,
+                                                jobs):
+    got = list(enumerate_pairs(ps, qs, filters, max_gap, jobs))
+    want = _pairwise(ps, qs, filters, max_gap)
     assert got == want
     assert _witness_keys(got) == _witness_keys(want)
 

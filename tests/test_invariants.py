@@ -14,6 +14,7 @@ from cosmetic.invariants import (
     casson_surgery,
     cosmetic_dedekind_obstruction,
 )
+from cosmetic.obstructions import reason
 from cosmetic.slopes import Slope, canonicalize_slope
 
 
@@ -112,9 +113,8 @@ def test_dedekind_obstruction_verdicts():
     assert passing.witness == {"s_q": "0/1", "s_q_prime": "0/1"}
     failing = cosmetic_dedekind_obstruction(7, 5, 6)
     assert not failing.passed
-    assert failing.witness["s_q"] == "-1/14"
-    assert failing.witness["s_q_prime"] == "-5/14"
-    assert "s(5, 7)" in failing.witness["reason"]
+    assert failing.witness == {"s_q": "-1/14", "s_q_prime": "-5/14"}
+    assert reason(7, 5, 6, failing) == "s(5, 7) = -1/14 but s(6, 7) = -5/14"
     trivial = cosmetic_dedekind_obstruction(1, 4, 9)
     assert trivial.passed
 

@@ -2,6 +2,7 @@ from math import gcd
 
 import pytest
 
+from cosmetic.engine import run_enumeration
 from cosmetic.obstructions import (
     EXCEPTIONAL_DISTANCE_BOUND,
     GeometryClass,
@@ -9,6 +10,7 @@ from cosmetic.obstructions import (
     distance_cap,
     linking_congruence,
     parity_filter,
+    reason,
     unit_squares_mod,
 )
 
@@ -52,8 +54,8 @@ def test_congruence_examples():
     assert v.passed and v.witness == {"unit": 3}
     v = linking_congruence(3, 1, 2)
     assert not v.passed
-    assert v.witness["unit_squares"] == [1]
-    assert "no unit square" in v.witness["reason"]
+    assert v.witness == {"unit_squares": (1,)}
+    assert reason(3, 1, 2, v) == "no unit square maps 2 to 1 mod 3"
     v = linking_congruence(1, 12, 5)
     assert v.passed and v.witness == {"unit": 0}
 
@@ -128,8 +130,10 @@ def test_parity_examples():
     assert parity_filter(2, 1, 3).passed
     assert parity_filter(1, 3, 7).passed
     v = parity_filter(8, 3, 4)
-    assert not v.passed
-    assert "gcd(4, 8) = 4" in v.witness["reason"]
+    assert not v.passed and v.witness == {}
+    assert reason(8, 3, 4, v) == "gcd(4, 8) = 4, so not a slope pair"
+    assert reason(6, 2, 3, parity_filter(6, 2, 3)) == (
+        "gcd(2, 6) = 2 and gcd(3, 6) = 3, so not a slope pair")
     # consecutive q, q' can never both be coprime to an even p > 2 with q odd
     for q in range(1, 21):
         assert not parity_filter(6, q, q + 1).passed
@@ -139,8 +143,8 @@ def test_parity_rejects_the_meridian():
     # 1/0 is a slope, but its filling is the trivial surgery
     for q, q_prime in ((0, 1), (-1, 0)):
         v = parity_filter(1, q, q_prime)
-        assert not v.passed
-        assert "meridian" in v.witness["reason"]
+        assert not v.passed and v.witness == {}
+        assert "meridian" in reason(1, q, q_prime, v)
 
 
 def test_distance_caps():
@@ -162,5 +166,39 @@ def test_replace_cannot_build_an_invalid_verdict():
     verdict = ObstructionVerdict("parity", True)
     with pytest.raises(ValueError):
         verdict._replace(passed=False)
-    failing = verdict._replace(passed=False, witness={"reason": "r"})
-    assert failing == ("parity", False, {"reason": "r"})
+    failing = verdict._replace(passed=False, witness={})
+    assert failing == ("parity", False, {})
+
+
+def test_reason_renders_each_failing_filter_from_its_witness():
+    # The text is a function of the pair and the witness's numbers only
+    # (parity's, of the pair alone, is pinned in test_parity_examples).
+    distance = ObstructionVerdict("distance", False, {"delta": 14})
+    assert reason(7, 1, 3, distance) == (
+        "slope distance 14 exceeds the exceptional bound 8")
+    dedekind = ObstructionVerdict("dedekind", False,
+                                  {"s_q": "a", "s_q_prime": "b"})
+    assert reason(7, 5, 6, dedekind) == "s(5, 7) = a but s(6, 7) = b"
+    congruence = ObstructionVerdict("congruence", False,
+                                    {"unit_squares": (1, 2, 4)})
+    assert reason(7, 1, 3, congruence) == "no unit square maps 3 to 1 mod 7"
+
+
+def test_unit_squares_witness_cannot_be_edited():
+    # Every failing congruence of p shares one tuple of unit squares, so
+    # an edit through one witness would reach every later verdict of p.
+    def squares(result):
+        return next(v.witness["unit_squares"] for pv in result.pairs
+                    for v in pv.verdicts
+                    if v.filter_name == "congruence" and not v.passed)
+
+    first = run_enumeration([7], range(1, 20), filters=["congruence"])
+    shared = squares(first)
+    assert shared == (1, 2, 4)
+    with pytest.raises(AttributeError):
+        shared.append(99)
+    with pytest.raises(TypeError):
+        shared[0] = 3
+    again = run_enumeration([7], range(1, 20), filters=["congruence"])
+    assert again == first and squares(again) == (1, 2, 4)
+    assert linking_congruence(7, 1, 3).witness["unit_squares"] == (1, 2, 4)

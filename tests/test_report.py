@@ -15,7 +15,7 @@ from cosmetic.engine import (
     run_classification,
     run_enumeration,
 )
-from cosmetic.obstructions import ObstructionVerdict, distance_cap
+from cosmetic.obstructions import ObstructionVerdict, distance_cap, reason
 from cosmetic.report import REPORT_SCHEMA_VERSION, emit_report
 
 
@@ -123,72 +123,106 @@ def test_unsupported_inputs_rejected():
 
 
 def test_csv_cells_are_quoted_as_the_csv_module_quotes_them():
-    # Reasons the engine never writes, in forged parity verdicts.
+    # Sum texts the engine never writes, in forged Dedekind verdicts; each
+    # reaches the detail through its rendered reason.
     odd = ["plain", "a, b", 'say "no"', "two\nlines", "carriage\rreturn",
-           "", " spaced ", "semi;colon"]
+           "", " spaced ", "semi;colon", "\"", "é ∞\x01"]
     records = tuple(
-        PairVerdict(2, 2 * i + 1, 2 * i + 2, (ObstructionVerdict(
-            "parity", False, {"reason": reason}),), False)
-        for i, reason in enumerate(odd)
+        PairVerdict(2, 2 * i + 1, 2 * i + 3, (
+            ObstructionVerdict("parity", True),
+            ObstructionVerdict("dedekind", False,
+                               {"s_q": text, "s_q_prime": text[::-1]}),
+        ), False)
+        for i, text in enumerate(odd)
     )
+    details = [f"s({r.q}, 2) = {text} but s({r.q_prime}, 2) = {text[::-1]}"
+               for r, text in zip(records, odd)]
 
     def expected(header, row):
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(row(r, reason) for r, reason in zip(records, odd))
+        writer.writerows(row(r, detail) for r, detail in zip(records, details))
         return buffer.getvalue()
 
-    cells = ["", "fail", "", "", "no"]
+    cells = ["", "pass", "", "fail", "no"]
     sweep = EnumerationResult(records, (), 8, ())
     assert emit_report(sweep, "csv") == expected(
         ["p", "q", "q_prime", "gap", "delta", "distance", "parity",
          "congruence", "dedekind", "surviving", "detail"],
-        lambda r, reason: [r.p, r.q, r.q_prime, r.gap, r.delta, *cells,
-                           reason])
+        lambda r, detail: [r.p, r.q, r.q_prime, r.gap, r.delta, *cells,
+                           detail])
     # A family is read against all four filters.
-    cells = ["skipped", "fail", "skipped", "skipped", "no"]
     families = ClassifyResult(2, records)
     assert emit_report(families, "csv") == expected(
         ["p", "q_residue", "gap", "delta", "distance", "parity",
          "congruence", "dedekind", "surviving", "detail"],
-        lambda r, reason: [r.p, r.q_residue, r.gap, r.delta, *cells, reason])
+        lambda r, detail: [r.p, r.q_residue, r.gap, r.delta, *cells, detail])
 
 
 def test_csv_rows_read_only_their_own_witnesses():
     # Records no class table makes.  Rows that share a pattern share the
-    # cells text, but each detail comes from its own record.
-    def record(q, unit, dedekind):
+    # cells text, but each detail comes from its own record: its unit, its
+    # sums and its own q and q' in the rendered reason.
+    def record(q, unit, s_q):
         return PairVerdict(7, q, q + 1, (
             ObstructionVerdict("distance", True, {"delta": 7}),
             ObstructionVerdict("parity", True),
             ObstructionVerdict("congruence", True, {"unit": unit}),
-            ObstructionVerdict("dedekind", False, dedekind),
+            ObstructionVerdict("dedekind", False,
+                               {"s_q": s_q, "s_q_prime": "1/14"}),
         ), False)
 
-    def parity_fail(q, witness):
+    def parity_fail(q):
         return PairVerdict(2, q, q + 2, (
             ObstructionVerdict("distance", True, {"delta": 4}),
-            ObstructionVerdict("parity", False, witness),
+            ObstructionVerdict("parity", False, {}),
         ), False)
 
-    sums = {"s_q": "5/14", "s_q_prime": "1/14"}
     sweep = EnumerationResult((
-        record(1, 3, sums),
-        record(8, 0, {**sums, "reason": 'say "no", twice'}),
-        record(15, 3, {**sums, "reason": "plain"}),
-        record(22, 0, {**sums, "reason": "plain"}),
-        parity_fail(2, {"reason": "even, even"}),
-        parity_fail(4, {}),
+        record(1, 3, "5/14"),
+        record(8, 0, 'say "no"'),
+        record(15, 3, "plain"),
+        record(22, 0, "plain"),
+        parity_fail(2),
+        parity_fail(4),
     ), ("distance", "congruence", "dedekind"), 8, ())
     assert emit_report(sweep, "csv").splitlines()[1:] == [
-        "7,1,2,1,7,pass,pass,pass,fail,no,unit 3",
-        '7,8,9,1,7,pass,pass,pass,fail,no,"say ""no"", twice"',
-        "7,15,16,1,7,pass,pass,pass,fail,no,unit 3; plain",
-        "7,22,23,1,7,pass,pass,pass,fail,no,plain",
-        '2,2,4,2,4,pass,fail,skipped,skipped,no,"even, even"',
-        "2,4,6,2,4,pass,fail,skipped,skipped,no,",
+        '7,1,2,1,7,pass,pass,pass,fail,no,"unit 3; s(1, 7) = 5/14 but '
+        's(2, 7) = 1/14"',
+        '7,8,9,1,7,pass,pass,pass,fail,no,"s(8, 7) = say ""no"" but '
+        's(9, 7) = 1/14"',
+        '7,15,16,1,7,pass,pass,pass,fail,no,"unit 3; s(15, 7) = plain but '
+        's(16, 7) = 1/14"',
+        '7,22,23,1,7,pass,pass,pass,fail,no,"s(22, 7) = plain but '
+        's(23, 7) = 1/14"',
+        '2,2,4,2,4,pass,fail,skipped,skipped,no,"gcd(2, 2) = 2 and '
+        'gcd(4, 2) = 2, so not a slope pair"',
+        '2,4,6,2,4,pass,fail,skipped,skipped,no,"gcd(4, 2) = 2 and '
+        'gcd(6, 2) = 2, so not a slope pair"',
     ]
+
+
+def test_a_failure_without_a_reason_renders_as_its_witness():
+    # A hand-built parity failure of a coprime pair, which the oracle
+    # rejects: parity_reason has no text for it, so no format gains one.
+    record = PairVerdict(5, 1, 2, (ObstructionVerdict("parity", False, {}),),
+                         False)
+    assert reason(5, 1, 2, record.verdicts[0]) is None
+    sweep = EnumerationResult((record,), (), 8, ())
+    assert emit_report(sweep, "csv").splitlines()[1] == "5,1,2,1,5,,fail,,,no,"
+    (verdict,) = json.loads(emit_report(sweep, "json"))["pairs"][0]["verdicts"]
+    assert verdict["witness"] == {}
+
+
+def _witness_payload(r, v):
+    # Schema 1 keeps a failing verdict's reason in its witness: first in a
+    # congruence witness, last in the others.
+    if v.passed:
+        return v.witness
+    told = {"reason": reason(r.p, r.q, r.q_prime, v)}
+    return ({**told, **v.witness} if v.filter_name == "congruence"
+            else {**v.witness, **told})
 
 
 def _record_payload(r, family):
@@ -198,7 +232,7 @@ def _record_payload(r, family):
     return {"p": r.p, **key, "gap": r.gap, "delta": r.delta,
             "surviving": r.surviving, "verdicts": [
                 {"filter": v.filter_name, "passed": v.passed,
-                 "witness": v.witness} for v in r.verdicts]}
+                 "witness": _witness_payload(r, v)} for v in r.verdicts]}
 
 
 def _dumped(kind, **fields):
@@ -208,24 +242,26 @@ def _dumped(kind, **fields):
 
 
 def test_json_reports_are_the_bytes_of_json_dumps():
-    # Records no engine run makes: odd reason texts, a 40-digit negative
-    # q, a None witness, an empty witness, empty unit squares.
+    # Records no engine run makes: odd sum texts, which the rendered
+    # reasons repeat, a 40-digit negative q, a None witness, an empty
+    # witness, empty unit squares.
     big = -10 ** 39 - 7
     records = (
         PairVerdict(3, 1, 2, (
             ObstructionVerdict("distance", True, {"delta": 3}),
             ObstructionVerdict("parity", True, None),
-            ObstructionVerdict("congruence", False, {
-                "reason": 'é ∞ "quoted" back\\slash\ttab\nline\x01',
-                "unit_squares": []}),
+            ObstructionVerdict("congruence", False, {"unit_squares": ()}),
+            ObstructionVerdict("dedekind", False, {
+                "s_q": 'é ∞ "quoted" back\\slash\ttab\nline\x01',
+                "s_q_prime": "\x01\n"}),
         ), False),
         PairVerdict(3, big, big + 1, (
             ObstructionVerdict("parity", True, {}),
             ObstructionVerdict("congruence", True, {"unit": 2}),
         ), True),
         PairVerdict(1, 4, 5, (ObstructionVerdict("parity", True),), True),
-        PairVerdict(2, 2, 4, (ObstructionVerdict(
-            "parity", False, {"reason": "\x01\n"}),), False),
+        PairVerdict(2, 2, 4, (ObstructionVerdict("parity", False, {}),),
+                    False),
     )
     sections = dict(zip(THEOREM_CASE_ORDER, (records[:2], (), records[2:],
                                               (), ())))
