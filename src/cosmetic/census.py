@@ -163,7 +163,10 @@ def load_census(path=None):
     else:
         with open(path) as handle:
             text = handle.read()
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("census file is nested too deeply") from None
     _require(data, {"schema_version": int, "records": list}, "census file")
     if data["schema_version"] != CENSUS_SCHEMA_VERSION:
         raise ValueError(

@@ -79,7 +79,7 @@ def cmd_casson_delta2(args):
 
 
 def cmd_congruence(args):
-    from .obstructions import congruence_reason, linking_congruence
+    from .obstructions import linking_congruence, reason
 
     verdict = linking_congruence(args.p, args.q, args.q_prime)
     if verdict.passed:
@@ -90,7 +90,7 @@ def cmd_congruence(args):
     else:
         squares = list(verdict.witness["unit_squares"])
         print(
-            f"obstructed: {congruence_reason(args.p, args.q, args.q_prime)} "
+            f"obstructed: {reason(args.p, args.q, args.q_prime, verdict)} "
             f"(unit squares mod {args.p}: {squares})"
         )
     return 0
@@ -238,7 +238,7 @@ _COMMANDS = (
          ("--filters", {"default": "all", "help": "all, or comma-separated "
                         "subset of distance,congruence,dedekind (parity "
                         "always runs)"}),
-         ("--max-gap", {"type": int, "default": 8}),
+         ("--max-gap", {"type": int}),
          ("--jobs", {"type": int, "default": 1, "help": "at least 1; the "
                      "sweep runs in one process and the output never "
                      "depends on it"}),

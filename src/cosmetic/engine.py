@@ -36,16 +36,6 @@ from .obstructions import (
 )
 from .oracle import _verified, verify_families, verify_pairs
 
-# The four numbered cases of the classification, in statement order,
-# followed by the finite-fundamental-group case that ends up empty.
-THEOREM_CASE_ORDER = (
-    GeometryClass.REDUCIBLE,
-    GeometryClass.SEIFERT_TOROIDAL,
-    GeometryClass.SMALL_SEIFERT_INFINITE,
-    GeometryClass.TOROIDAL_IRREDUCIBLE_NON_SEIFERT,
-    GeometryClass.FINITE_PI1,
-)
-
 # The abstract's last claim: toroidal truly cosmetic surgeries on integer
 # homology spheres are integer homology spheres, so these keep only p = 1.
 _TOROIDAL_CASES = (GeometryClass.SEIFERT_TOROIDAL,
@@ -233,7 +223,7 @@ def replicate_theorem(verify=True):
         verify_families(evaluated)
     survivors = [f for f in evaluated if f.surviving]
     sections = {}
-    for geometry in THEOREM_CASE_ORDER:
+    for geometry in GeometryClass:
         if geometry is GeometryClass.FINITE_PI1:
             sections[geometry] = ()
             continue
@@ -265,12 +255,12 @@ def _sweep_settings(p_values, q_values, filters, max_gap, jobs):
         raise ValueError("p must be a positive integer")
     if max_gap is None:
         max_gap = EXCEPTIONAL_DISTANCE_BOUND
-    if max_gap < 1:
-        raise ValueError("max_gap must be at least 1")
-    chosen = _normalize_filters(filters)
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
-    return ps, qs, chosen, max_gap
+    for name, value in (("max_gap", max_gap), ("jobs", jobs)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, not {value!r}")
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1")
+    return ps, qs, _normalize_filters(filters), max_gap
 
 
 def enumerate_pairs(p_values, q_values, filters="all", max_gap=None, jobs=1):
@@ -279,8 +269,9 @@ def enumerate_pairs(p_values, q_values, filters="all", max_gap=None, jobs=1):
     Both q and q' are drawn from q_values.  Output order is lexicographic
     in (p, q, gap).  `filters` is "all" or an iterable drawn from
     distance/congruence/dedekind; parity always runs, and when it fails
-    the remaining filters are reported as skipped.  The sweep runs in
-    this process: `jobs` must be at least 1 and never changes the output.
+    the remaining filters are reported as skipped.  `max_gap` (default
+    EXCEPTIONAL_DISTANCE_BOUND) and `jobs` are ints of at least 1.  The
+    sweep runs in this process: `jobs` never changes the output.
     For each p the filter chain runs once per residue class, on facts
     built once per residue q mod p (_Residues); every later pair of the
     class shares the class's first verdicts and surviving flag.  Each q

@@ -100,7 +100,11 @@ class AlexanderPolynomial(namedtuple("AlexanderPolynomial", "coefficients")):
     def from_json(cls, text):
         """Read the JSON map form, e.g. '{"-1": 1, "0": -3, "1": 1}'."""
         import json
-        mapping = json.loads(text)
+        try:
+            mapping = json.loads(text)
+        except RecursionError:
+            raise ValueError("Alexander polynomial JSON is nested too "
+                             "deeply") from None
         if not isinstance(mapping, dict):
             raise ValueError("Alexander polynomial must be a JSON object "
                              "mapping exponents to coefficients")

@@ -23,7 +23,9 @@ from math import gcd
 
 
 class GeometryClass(Enum):
-    """The exceptional (non-hyperbolic) geometries a filling can have."""
+    """The exceptional (non-hyperbolic) geometries a filling can have, in
+    the order of the classification's cases: the four numbered ones, then
+    finite fundamental group, which ends up empty."""
 
     REDUCIBLE = "reducible"
     SEIFERT_TOROIDAL = "seifert_toroidal"
@@ -55,22 +57,26 @@ def _normalize_filters(filters):
 # this cannot be truly cosmetic.
 EXCEPTIONAL_DISTANCE_BOUND = 8
 
-# Largest slope distance a truly cosmetic pair can realize in each class.
+# The classification's cases, in GeometryClass order: the largest slope
+# distance a truly cosmetic pair can realize in each, and its title.
 # Reducible and Seifert-with-essential-torus fillings force distance 1;
 # a toroidal irreducible non-Seifert filling forces distance at most 3,
 # as does finite fundamental group.
-_DISTANCE_CAPS = {
-    GeometryClass.REDUCIBLE: 1,
-    GeometryClass.SEIFERT_TOROIDAL: 1,
-    GeometryClass.SMALL_SEIFERT_INFINITE: EXCEPTIONAL_DISTANCE_BOUND,
-    GeometryClass.TOROIDAL_IRREDUCIBLE_NON_SEIFERT: 3,
-    GeometryClass.FINITE_PI1: 3,
+CASES = {
+    GeometryClass.REDUCIBLE: (1, "reducible filling"),
+    GeometryClass.SEIFERT_TOROIDAL: (1, "toroidal Seifert fibred filling"),
+    GeometryClass.SMALL_SEIFERT_INFINITE: (
+        EXCEPTIONAL_DISTANCE_BOUND,
+        "small Seifert fibred filling with infinite fundamental group"),
+    GeometryClass.TOROIDAL_IRREDUCIBLE_NON_SEIFERT: (
+        3, "toroidal irreducible non-Seifert filling"),
+    GeometryClass.FINITE_PI1: (3, "finite fundamental group"),
 }
 
 
 def distance_cap(geometry):
     """Largest Delta(p/q, p/q') a truly cosmetic pair with this geometry allows."""
-    return _DISTANCE_CAPS[geometry]
+    return CASES[geometry][0]
 
 
 class ObstructionVerdict(
@@ -166,48 +172,31 @@ def dedekind_verdict(t_q, t_q_prime, s_q, s_q_prime):
                                      {"s_q": s_q, "s_q_prime": s_q_prime}))
 
 
-def congruence_reason(p, q, q_prime):
-    """The failing linking congruence's witness text for this pair."""
-    return f"no unit square maps {q_prime} to {q} mod {p}"
-
-
-def dedekind_reason(p, q, q_prime, s_q, s_q_prime):
-    """The failing Dedekind witness text, from the two formatted sums."""
-    return f"s({q}, {p}) = {s_q} but s({q_prime}, {p}) = {s_q_prime}"
-
-
-def distance_reason(delta):
-    """The failing distance filter's witness text for slope distance delta."""
-    return (f"slope distance {delta} exceeds the exceptional bound "
-            f"{EXCEPTIONAL_DISTANCE_BOUND}")
-
-
-def parity_reason(p, q, q_prime, g, h):
-    """Why p/q, p/q' (gcds g, h with p) is not a slope pair, or None."""
-    if g != 1 and h != 1:
-        return (f"gcd({q}, {p}) = {g} and gcd({q_prime}, {p}) = {h}, "
-                "so not a slope pair")
-    if g != 1 or h != 1:
-        x, y = (q, g) if g != 1 else (q_prime, h)
-        return f"gcd({x}, {p}) = {y}, so not a slope pair"
-    if 0 in (q, q_prime):  # reached only for p = 1
-        return ("1/0 is the meridian, whose filling is the trivial surgery, "
-                "so not a cosmetic pair")
-    return None
-
-
 def reason(p, q, q_prime, verdict):
     """The text of a failing verdict of the pair p/q, p/q', rendered from
-    its witness and the pair: the reports' detail and JSON "reason"."""
+    its witness and the pair: the reports' detail and JSON "reason".  A
+    failing parity recomputes its gcds; it has no text (None) for a
+    coprime pair with neither slope the meridian."""
     name, _, witness = verdict
     if name == "distance":
-        return distance_reason(witness["delta"])
+        return (f"slope distance {witness['delta']} exceeds the exceptional "
+                f"bound {EXCEPTIONAL_DISTANCE_BOUND}")
     if name == "parity":
-        return parity_reason(p, q, q_prime, gcd(q, p), gcd(q_prime, p))
+        g, h = gcd(q, p), gcd(q_prime, p)
+        if g != 1 and h != 1:
+            return (f"gcd({q}, {p}) = {g} and gcd({q_prime}, {p}) = {h}, "
+                    "so not a slope pair")
+        if g != 1 or h != 1:
+            x, y = (q, g) if g != 1 else (q_prime, h)
+            return f"gcd({x}, {p}) = {y}, so not a slope pair"
+        if 0 in (q, q_prime):  # reached only for p = 1
+            return ("1/0 is the meridian, whose filling is the trivial "
+                    "surgery, so not a cosmetic pair")
+        return None
     if name == "congruence":
-        return congruence_reason(p, q, q_prime)
-    return dedekind_reason(p, q, q_prime, witness["s_q"],
-                           witness["s_q_prime"])
+        return f"no unit square maps {q_prime} to {q} mod {p}"
+    return (f"s({q}, {p}) = {witness['s_q']} but s({q_prime}, {p}) = "
+            f"{witness['s_q_prime']}")
 
 
 _PARITY_PASSED = ObstructionVerdict("parity", True)

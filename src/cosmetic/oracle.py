@@ -24,10 +24,13 @@ from .obstructions import (
 
 
 def _mismatch(verdict, want, fields):
-    # Run once an inline check has failed.  Raises for a pass/fail other
-    # than `want`, then for the first missing or wrong witness field (of
-    # its type: True is not 1), else for any other key.
+    # Run once an inline check has failed.  Raises for a pass/fail flag
+    # that is not the boolean `want`, then for the first missing or wrong
+    # witness field (of its type: True is not 1), else for any other key.
     name, passed, w = verdict
+    if type(passed) is not bool:
+        raise CrossCheckError(f"{name} verdict's passed flag {passed!r} is "
+                              "not a boolean")
     if passed != want:
         raise CrossCheckError(
             f"{name} verdict says {'pass' if passed else 'fail'} but the "
@@ -109,7 +112,7 @@ def _verify_one(record, shapes, memo):
                 else coprime if name == "parity"
                 else p == 1 or label == label_prime if name == "congruence"
                 else s_q == s_q_prime)
-        if passed != want:
+        if passed is not want:
             _mismatch(v, want, {})
         all_passed = all_passed and want
         # A witness holds exactly its filter's fields, and no text.
@@ -145,8 +148,11 @@ def _verify_one(record, shapes, memo):
                 _mismatch(v, want, {"unit": u})
         elif w or not (want or type(w) is dict):  # parity: {} or no witness
             _mismatch(v, want, {})
-    if surviving != all_passed:
-        raise CrossCheckError("surviving flag is inconsistent with the trail")
+    if surviving is not all_passed:
+        raise CrossCheckError(
+            "surviving flag is inconsistent with the trail"
+            if type(surviving) is bool
+            else f"surviving flag {surviving!r} is not a boolean")
 
 
 def _verified(records, kind, filters):
@@ -179,17 +185,17 @@ def verify_pairs(pairs, *, filters=None):
     reciprocity and square roots the engine ran with.  In one call each
     residue's gcd, direct sum and coset are built once.  A record must be
     a pair p/q, p/q' of integers with p >= 1 and q < q'.  Every pass/fail
-    is recomputed, and so are the witness's delta, Dedekind values,
-    congruence unit and unit squares, each of its type (True is not 1; a
-    list is not the tuple of unit squares).  Any other witness key is
-    rejected, a stored "reason" included: reasons are rendered from
-    these numbers (obstructions.reason) and never stored.  A failing
-    parity witness is {}.  With `filters` (as for
-    enumerate_pairs) a trail must hold exactly those filters and parity,
-    in FILTER_ORDER, with congruence and Dedekind absent after a parity
-    failure; without it, any in-order subset that includes parity is
-    accepted.  Raises CrossCheckError on the first disagreement; returns
-    the number of pairs checked.
+    and surviving flag is recomputed, and so are the witness's delta,
+    Dedekind values, congruence unit and unit squares, each of its type
+    (a flag is a bool, so 1 is not True; True is not 1; a list is not the
+    tuple of unit squares).  Any other witness key is rejected, a stored
+    "reason" included: reasons are rendered from these numbers
+    (obstructions.reason) and never stored.  A failing parity witness is
+    {}.  With `filters` (as for enumerate_pairs) a trail must hold
+    exactly those filters and parity, in FILTER_ORDER, with congruence
+    and Dedekind absent after a parity failure; without it, any in-order
+    subset that includes parity is accepted.  Raises CrossCheckError on
+    the first disagreement; returns the number of pairs checked.
     """
     if filters is not None:
         filters = _normalize_filters(filters)

@@ -20,22 +20,12 @@ from types import GeneratorType
 
 from . import FORMATS
 from .engine import ClassificationTable, ClassifyResult, EnumerationResult
-from .obstructions import FILTER_ORDER, GeometryClass, distance_cap, reason
+from .obstructions import CASES, FILTER_ORDER, distance_cap, reason
 
 REPORT_SCHEMA_VERSION = 1
 
 _VERDICT_COLUMNS = list(FILTER_ORDER) + ["surviving", "detail"]
 _PATTERN = attrgetter("filter_name", "passed")  # what a row's cells read
-
-_CASE_TITLES = {
-    GeometryClass.REDUCIBLE: "reducible filling",
-    GeometryClass.SEIFERT_TOROIDAL: "toroidal Seifert fibred filling",
-    GeometryClass.SMALL_SEIFERT_INFINITE:
-        "small Seifert fibred filling with infinite fundamental group",
-    GeometryClass.TOROIDAL_IRREDUCIBLE_NON_SEIFERT:
-        "toroidal irreducible non-Seifert filling",
-    GeometryClass.FINITE_PI1: "finite fundamental group",
-}
 
 
 def _residue(record):
@@ -171,12 +161,8 @@ def _theorem_report(table, fmt, out):
         "of the cases below; every family not listed is obstructed.",
     ]
     for index, (geometry, families) in enumerate(sections, start=1):
-        cap = distance_cap(geometry)
-        lines += [
-            "",
-            f"## Case {index}: {_CASE_TITLES[geometry]} (distance cap {cap})",
-            "",
-        ]
+        cap, title = CASES[geometry]
+        lines += ["", f"## Case {index}: {title} (distance cap {cap})", ""]
         for f in families:
             bits = [f.describe(), f"delta = {f.delta}", _detail(*f[:4])]
             lines.append("- " + "; ".join(bit for bit in bits if bit))

@@ -328,6 +328,22 @@ def test_missing_census_file_exits_one(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+def test_deeply_nested_json_input_exits_one(tmp_path, capsys):
+    # The decoder gives up on nesting deeper than the recursion limit.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    polynomial = "error: Alexander polynomial JSON is nested too deeply\n"
+    census = "error: census file is nested too deeply\n"
+    for argv, err in ((["casson", "delta2", "[" * 100000], polynomial),
+                      (["casson", "delta2", '{"0": ' * 100000], polynomial),
+                      (["census", "show", "M8", "--census-file", str(deep)],
+                       census),
+                      (["replicate-theorem", "--census-file", str(deep)],
+                       census)):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", err)
+
+
 def test_jobs_below_one_rejected():
     proc = run_cli("enumerate", "--p", "3", "--q", "1..5", "--jobs", "0",
                    expect=1)

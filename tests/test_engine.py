@@ -266,6 +266,20 @@ def test_sweep_takes_only_integers():
                          "'1'")):
         with pytest.raises(ValueError, match=bad):
             run_enumeration(ps, qs)
+    # So are the settings: max_gap=True is not gap 1, nor 2.5 a gap.
+    for settings, bad in (({"max_gap": True}, "max_gap must be an integer, "
+                           "not True"),
+                          ({"max_gap": 2.5}, "max_gap must be an integer, "
+                           "not 2.5"),
+                          ({"jobs": True}, "jobs must be an integer, not "
+                           "True"),
+                          ({"jobs": 1.0}, "jobs must be an integer, not "
+                           "1.0")):
+        with pytest.raises(ValueError, match=f"^{bad}$"):
+            run_enumeration([7], range(1, 4), **settings)
+        with pytest.raises(ValueError, match=f"^{bad}$"):
+            list(enumerate_pairs([7], range(1, 4), **settings))
+    assert run_enumeration([7], range(1, 4)).max_gap == 8
 
 
 def test_sparse_sweep_costs_its_pairs_not_its_span():
@@ -346,10 +360,10 @@ def _corrupted(value):
 
 
 def _mutants(record):
-    """Each verdict flipped, dropped, with each witness field corrupted,
-    with a key its filter never writes (a stored reason included) and the
-    surviving flag flipped: every single-point corruption of the
-    record."""
+    """Each verdict flipped, dropped, with its flag an int, with each
+    witness field corrupted, with a key its filter never writes (a stored
+    reason included), and the surviving flag flipped or an int: every
+    single-point corruption of the record."""
     def rebuild(verdicts):
         return record._replace(verdicts=tuple(verdicts),
                                surviving=all(v.passed for v in verdicts))
@@ -360,6 +374,8 @@ def _mutants(record):
         flipped = ObstructionVerdict(v.filter_name, not v.passed, witness)
         yield rebuild(trail[:i] + [flipped] + trail[i + 1:])
         yield rebuild(trail[:i] + trail[i + 1:])
+        yield rebuild(trail[:i] + [v._replace(passed=int(v.passed))]
+                      + trail[i + 1:])
         for key in v.witness or {}:
             bad = dict(v.witness, **{key: _corrupted(v.witness[key])})
             forged = ObstructionVerdict(v.filter_name, v.passed, bad)
@@ -369,6 +385,7 @@ def _mutants(record):
                                        {**(v.witness or {}), key: "forged"})
             yield rebuild(trail[:i] + [extra] + trail[i + 1:])
     yield record._replace(surviving=not record.surviving)
+    yield record._replace(surviving=int(record.surviving))
 
 
 @pytest.mark.parametrize("sweep", [
@@ -469,6 +486,20 @@ def test_verify_error_texts_are_pinned():
         "q = q' u^2 (mod 5)")
     assert _error(verify_pairs, [p7._replace(surviving=True)]) == (
         at + "surviving flag is inconsistent with the trail")
+    # A flag is a boolean: 1 is not True, and 0 is not False.
+    ones = p5._replace(surviving=1, verdicts=tuple(
+        v._replace(passed=1) for v in p5.verdicts))
+    assert _error(verify_pairs, [ones]) == (
+        "pair p=5 q=2 q'=3: distance verdict's passed flag 1 is not a "
+        "boolean")
+    zero = _swapped(p7, dedekind._replace(passed=0))
+    assert _error(verify_pairs, [zero]) == (
+        at + "dedekind verdict's passed flag 0 is not a boolean")
+    assert _error(verify_pairs, [p5._replace(surviving=1)]) == (
+        "pair p=5 q=2 q'=3: surviving flag 1 is not a boolean")
+    (survivor,) = surviving_families(5)
+    assert _error(verify_families, [survivor._replace(surviving=1)]) == (
+        "family p=5 q=2 q'=3: surviving flag 1 is not a boolean")
     family = classify_candidates(1)[-1]
     assert family.gap == 8 and family.surviving
     beyond = family._replace(q_prime=10, verdicts=(

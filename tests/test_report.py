@@ -6,7 +6,6 @@ import json
 import pytest
 
 from cosmetic.engine import (
-    THEOREM_CASE_ORDER,
     ClassificationTable,
     ClassifyResult,
     EnumerationResult,
@@ -15,7 +14,12 @@ from cosmetic.engine import (
     run_classification,
     run_enumeration,
 )
-from cosmetic.obstructions import ObstructionVerdict, distance_cap, reason
+from cosmetic.obstructions import (
+    GeometryClass,
+    ObstructionVerdict,
+    distance_cap,
+    reason,
+)
 from cosmetic.report import REPORT_SCHEMA_VERSION, emit_report
 
 
@@ -205,7 +209,7 @@ def test_csv_rows_read_only_their_own_witnesses():
 
 def test_a_failure_without_a_reason_renders_as_its_witness():
     # A hand-built parity failure of a coprime pair, which the oracle
-    # rejects: parity_reason has no text for it, so no format gains one.
+    # rejects: reason() has no text for it, so no format gains one.
     record = PairVerdict(5, 1, 2, (ObstructionVerdict("parity", False, {}),),
                          False)
     assert reason(5, 1, 2, record.verdicts[0]) is None
@@ -263,10 +267,9 @@ def test_json_reports_are_the_bytes_of_json_dumps():
         PairVerdict(2, 2, 4, (ObstructionVerdict("parity", False, {}),),
                     False),
     )
-    sections = dict(zip(THEOREM_CASE_ORDER, (records[:2], (), records[2:],
-                                              (), ())))
-    table = ClassificationTable(sections, {THEOREM_CASE_ORDER[1]: "é"},
-                                records)
+    cases = tuple(GeometryClass)
+    sections = dict(zip(cases, (records[:2], (), records[2:], (), ())))
+    table = ClassificationTable(sections, {cases[1]: "é"}, records)
     assert emit_report(table, "json") == _dumped(
         "theorem_table",
         cases=[{"geometry": g.value, "distance_cap": distance_cap(g),
