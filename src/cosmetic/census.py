@@ -167,6 +167,9 @@ def load_census(path=None):
         data = json.loads(text)
     except RecursionError:
         raise ValueError("census file is nested too deeply") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"census file {path or 'census.json'} is not valid "
+                         f"JSON: {exc}") from None
     _require(data, {"schema_version": int, "records": list}, "census file")
     if data["schema_version"] != CENSUS_SCHEMA_VERSION:
         raise ValueError(

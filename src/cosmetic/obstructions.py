@@ -130,6 +130,15 @@ def unit_squares_mod(p):
     return set(_unit_squares(p)[1])
 
 
+def _check_pair(p, q, q_prime):
+    # Integers only, as in the sweeps: a bool or a float is refused.
+    for name, value in (("p", p), ("q", q), ("q'", q_prime)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, not {value!r}")
+    if p < 1:
+        raise ValueError("p must be a positive integer")
+
+
 def linking_congruence(p, q, q_prime):
     """Do the linking forms of p/q and p/q' surgery agree?
 
@@ -141,8 +150,7 @@ def linking_congruence(p, q, q_prime):
 
     Both q and q' must be coprime to p.
     """
-    if p < 1:
-        raise ValueError("p must be a positive integer")
+    _check_pair(p, q, q_prime)
     if gcd(q, p) != 1 or gcd(q_prime, p) != 1:
         raise ValueError("linking congruence needs gcd(q, p) = gcd(q', p) = 1")
     return congruence_verdict(p, q, q_prime, pow(q, -1, p),
@@ -177,6 +185,24 @@ def reason(p, q, q_prime, verdict):
     its witness and the pair: the reports' detail and JSON "reason".  A
     failing parity recomputes its gcds; it has no text (None) for a
     coprime pair with neither slope the meridian."""
+    return _reason(p, q, q_prime, verdict, q, q_prime)
+
+
+def _literal(value):
+    return format(value).replace("{", "{{").replace("}", "}}")
+
+
+def reason_template(p, q, q_prime, verdict):
+    """reason() as a str.format template with slots {0}, {1} for q, q',
+    the same for every pair of the class (p, q mod p, gap, whether 0 is a
+    slope) with this verdict; a witness's braces are doubled."""
+    name, passed, witness = verdict
+    if name != "congruence":  # its text shows none of its unit squares
+        witness = {key: _literal(value) for key, value in witness.items()}
+    return _reason(p, q, q_prime, (name, passed, witness), "{0}", "{1}")
+
+
+def _reason(p, q, q_prime, verdict, x, y):  # x, y are shown for q, q'
     name, _, witness = verdict
     if name == "distance":
         return (f"slope distance {witness['delta']} exceeds the exceptional "
@@ -184,18 +210,18 @@ def reason(p, q, q_prime, verdict):
     if name == "parity":
         g, h = gcd(q, p), gcd(q_prime, p)
         if g != 1 and h != 1:
-            return (f"gcd({q}, {p}) = {g} and gcd({q_prime}, {p}) = {h}, "
+            return (f"gcd({x}, {p}) = {g} and gcd({y}, {p}) = {h}, "
                     "so not a slope pair")
         if g != 1 or h != 1:
-            x, y = (q, g) if g != 1 else (q_prime, h)
-            return f"gcd({x}, {p}) = {y}, so not a slope pair"
+            x, g = (x, g) if g != 1 else (y, h)
+            return f"gcd({x}, {p}) = {g}, so not a slope pair"
         if 0 in (q, q_prime):  # reached only for p = 1
             return ("1/0 is the meridian, whose filling is the trivial "
                     "surgery, so not a cosmetic pair")
         return None
     if name == "congruence":
-        return f"no unit square maps {q_prime} to {q} mod {p}"
-    return (f"s({q}, {p}) = {witness['s_q']} but s({q_prime}, {p}) = "
+        return f"no unit square maps {y} to {x} mod {p}"
+    return (f"s({x}, {p}) = {witness['s_q']} but s({y}, {p}) = "
             f"{witness['s_q_prime']}")
 
 
@@ -219,6 +245,5 @@ def parity_filter(p, q, q_prime):
     for p > 1 that is a gcd failure, and for p = 1 the slope is the
     meridian 1/0, whose filling is the trivial surgery.
     """
-    if p < 1:
-        raise ValueError("p must be a positive integer")
+    _check_pair(p, q, q_prime)
     return parity_verdict(q, q_prime, gcd(q, p), gcd(q_prime, p))

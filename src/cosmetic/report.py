@@ -9,18 +9,25 @@ text stream, a few thousand lines per write, so a streamed sweep is
 never held whole; emit_report collects the same bytes in a string.  CSV
 and markdown rows share one cell table, which joins a row's filter and
 surviving cells once per pass/fail pattern; a CSV row quotes only its
-detail.  JSON is written field by field with one encoder, a list from a
-generator item by item, in the bytes of json.dumps(..., indent=2).
+detail.  A sweep renders one row template per residue class: the pairs
+of a class (p, q mod p, gap, whether 0 is a slope) that share a trail
+object differ only in q and q', so the class's first row is rendered
+directly, its second builds the template (reasons from reason_template,
+with slots for q and q'), and each later row fills in q and q'.  JSON is
+written field by field with one encoder, a list from a generator item
+by item, in the bytes of json.dumps(..., indent=2).
 """
 
 import io
+from functools import partial
 from itertools import chain, islice
 from operator import attrgetter
 from types import GeneratorType
 
 from . import FORMATS
 from .engine import ClassificationTable, ClassifyResult, EnumerationResult
-from .obstructions import CASES, FILTER_ORDER, distance_cap, reason
+from .obstructions import (CASES, FILTER_ORDER, _literal, distance_cap,
+                           reason, reason_template)
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -54,39 +61,43 @@ def _record_dicts(records, family):
                     "witness": _witness(r, v)} for v in r.verdicts]}
 
 
-def _detail(p, q, q_prime, verdicts):
+def _detail(p, q, q_prime, verdicts, template=False):
     # Each failing verdict's reason and a passing congruence's unit (but
-    # not the unit 0 of p = 1), in trail order.
+    # not the unit 0 of p = 1), in trail order; with `template`, as the
+    # str.format template of the pair's class (reason_template).
+    text, shown = (reason_template, _literal) if template else (reason, format)
     notes = []
     for v in verdicts:
         if not v.passed:
-            notes.append(reason(p, q, q_prime, v))
+            notes.append(text(p, q, q_prime, v))
         elif v.filter_name == "congruence" and v.witness["unit"]:
-            notes.append(f"unit {v.witness['unit']}")
+            notes.append(f"unit {shown(v.witness['unit'])}")
     return "; ".join(filter(None, notes))
 
 
-def _cells(records, selected, tally, sep):
-    # (record, its filter and surviving cells joined by `sep`), built once
-    # per (surviving, filter, passed...) pattern: a filter cell is
+def _cells(table, selected, sep, verdicts, surviving):
+    # A trail's filter and surviving cells joined by `sep`, built once per
+    # (surviving, filter, passed...) pattern in `table`: a filter cell is
     # pass/fail, "skipped" after a parity failure, or "" if switched off.
-    # tally[s] counts the records whose surviving flag is s.
-    table = {}
+    key = (surviving, *map(_PATTERN, verdicts))
+    cells = table.get(key)
+    if cells is None:
+        by_name = {v.filter_name: v for v in verdicts}
+        skipped = "parity" in by_name and not by_name["parity"].passed
+        cells = table[key] = sep.join([
+            ("pass" if by_name[name].passed else "fail")
+            if name in by_name
+            else "skipped" if name in selected and skipped else ""
+            for name in FILTER_ORDER
+        ] + ["yes" if surviving else "no"])
+    return cells
+
+
+def _counted(records, tally):
+    # The records, each counted in tally[s] for its surviving flag s.
     for record in records:
-        surviving, verdicts = record[4], record[3]
-        key = (surviving, *map(_PATTERN, verdicts))
-        cells = table.get(key)
-        if cells is None:
-            by_name = {v.filter_name: v for v in verdicts}
-            skipped = "parity" in by_name and not by_name["parity"].passed
-            cells = table[key] = sep.join([
-                ("pass" if by_name[name].passed else "fail")
-                if name in by_name
-                else "skipped" if name in selected and skipped else ""
-                for name in FILTER_ORDER
-            ] + ["yes" if surviving else "no"])
-        tally[surviving] += 1
-        yield record, cells
+        tally[record[4]] += 1
+        yield record
 
 
 def _csv_cell(text):
@@ -181,51 +192,79 @@ def _classify_report(result, fmt, out):
             ("families", list(_record_dicts(result.families, True))),
             ("surviving", list(_record_dicts(result.surviving, True))),
         ])
-    tally = [0, 0]
-    families = _cells(result.families, FILTER_ORDER, tally,
-                      "," if fmt == "csv" else " | ")
+    cells = partial(_cells, {}, FILTER_ORDER, "," if fmt == "csv" else " | ")
     if fmt == "csv":
         header = ["p", "q_residue", "gap", "delta"] + _VERDICT_COLUMNS
         return _lines(out, chain([",".join(header)], (
-            f"{f.p},{_residue(f)},{f.gap},{f.delta},{cells},"
-            f"{_csv_cell(_detail(*f[:4]))}" for f, cells in families)))
+            f"{f.p},{_residue(f)},{f.gap},{f.delta},{cells(*f[3:])},"
+            f"{_csv_cell(_detail(*f[:4]))}" for f in result.families)))
     _markdown(
         out, [f"# Residue families for p = {result.p}", ""],
         ["family", "delta"] + _VERDICT_COLUMNS,
-        (f"| {f.describe()} | {f.delta} | {cells} | {_detail(*f[:4])} |"
-         for f, cells in families))
-    out.write(f"\n{tally[True]} of {sum(tally)} families survive.\n")
+        (f"| {f.describe()} | {f.delta} | {cells(*f[3:])} | "
+         f"{_detail(*f[:4])} |" for f in result.families))
+    out.write(f"\n{len(result.surviving)} of {len(result.families)} "
+              "families survive.\n")
 
 
-def _sweep_fields(result, rows, tally):
+def _sweep_row(fmt, p, q, q_prime, verdicts, cells, template):
+    # A csv or markdown row (with no detail), or with `template` the
+    # str.format template of its class's rows, with slots for q and q'.
+    x, y = ("{0}", "{1}") if template else (q, q_prime)
+    if fmt == "markdown":
+        return f"| {p} | {x} | {y} | {p * (q_prime - q)} | {cells} |"
+    detail = _csv_cell(_detail(p, q, q_prime, verdicts, template))
+    return f"{p},{x},{y},{q_prime - q},{p * (q_prime - q)},{cells},{detail}"
+
+
+def _sweep_rows(records, fmt, cells, tally):
+    # The rows; tally[s] counts surviving flags s.  The rows of a class
+    # (p, q mod p, gap, whether 0 is a slope) with one trail object differ
+    # only in q and q', which need no csv quotes.  The memo is new for
+    # each p and keeps its trails, so no id in its keys is reused.
+    memo, memo_p = {}, None
+    for p, q, q_prime, verdicts, surviving in records:
+        tally[surviving] += 1
+        if p != memo_p:
+            memo, memo_p = {}, p
+        key = (q % p, q_prime - q, 0 in (q, q_prime), id(verdicts), surviving)
+        entry = memo.get(key)
+        if entry is None:  # the class's first row, rendered as it is
+            memo[key] = [verdicts, None]
+            yield _sweep_row(fmt, p, q, q_prime, verdicts,
+                             cells(verdicts, surviving), False)
+            continue
+        if entry[1] is None:  # its second builds the template of the rest
+            entry[1] = _sweep_row(fmt, p, q, q_prime, verdicts,
+                                  cells(verdicts, surviving), True).format
+        yield entry[1](q, q_prime)
+
+
+def _sweep_fields(result, tally):
     # The survivor count is read once the pairs are written.
     yield "filters", list(result.filters)
     yield "max_gap", result.max_gap
     yield "warnings", list(result.warnings)
-    yield "pairs", _record_dicts((pv for pv, _ in rows), False)
+    yield "pairs", _record_dicts(_counted(result.pairs, tally), False)
     yield "survivor_count", tally[True]
 
 
 def _enumeration_report(result, fmt, out):
     # Read once, as they arrive: `result.pairs` may be a generator.
     tally = [0, 0]
-    rows = _cells(result.pairs, result.filters, tally,
-                  " | " if fmt == "markdown" else ",")
     if fmt == "json":
-        return _json(out, "enumeration", _sweep_fields(result, rows, tally))
+        return _json(out, "enumeration", _sweep_fields(result, tally))
+    cells = partial(_cells, {}, result.filters,
+                    " | " if fmt == "markdown" else ",")
+    rows = _sweep_rows(result.pairs, fmt, cells, tally)
     if fmt == "csv":
         header = ["p", "q", "q_prime", "gap", "delta"] + _VERDICT_COLUMNS
-        return _lines(out, chain([",".join(header)], (
-            f"{p},{q},{q_prime},{q_prime - q},{p * (q_prime - q)},{cells},"
-            f"{_csv_cell(_detail(p, q, q_prime, verdicts))}"
-            for (p, q, q_prime, verdicts, _), cells in rows)))
+        return _lines(out, chain([",".join(header)], rows))
     preamble = ["# Pair sweep", ""]
     for warning in result.warnings:
         preamble += [f"Note: {warning}", ""]
-    # The markdown sweep table leaves out the detail column.
-    _markdown(out, preamble, ["p", "q", "q'", "delta"] + _VERDICT_COLUMNS[:-1],
-              (f"| {p} | {q} | {q_prime} | {p * (q_prime - q)} | {cells} |"
-               for (p, q, q_prime, _, _), cells in rows))
+    _markdown(out, preamble,
+              ["p", "q", "q'", "delta"] + _VERDICT_COLUMNS[:-1], rows)
     out.write(f"\n{tally[True]} of {sum(tally)} pairs survive.\n")
 
 

@@ -344,6 +344,18 @@ def test_deeply_nested_json_input_exits_one(tmp_path, capsys):
         assert capsys.readouterr() == ("", err)
 
 
+def test_census_file_that_is_not_json_exits_one(tmp_path, capsys):
+    # One error line that names the file, not the decoder's text alone.
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"schema_version": 1, "records": [')
+    for argv in (["census", "show", "M8", "--census-file", str(truncated)],
+                 ["replicate-theorem", "--census-file", str(truncated)]):
+        assert main(argv) == 1
+        assert capsys.readouterr() == (
+            "", f"error: census file {truncated} is not valid JSON: "
+            "Expecting value: line 1 column 35 (char 34)\n")
+
+
 def test_jobs_below_one_rejected():
     proc = run_cli("enumerate", "--p", "3", "--q", "1..5", "--jobs", "0",
                    expect=1)

@@ -11,6 +11,7 @@ from cosmetic.obstructions import (
     linking_congruence,
     parity_filter,
     reason,
+    reason_template,
     unit_squares_mod,
 )
 
@@ -147,6 +148,24 @@ def test_parity_rejects_the_meridian():
         assert "meridian" in reason(1, q, q_prime, v)
 
 
+def test_filters_take_only_integers():
+    # As in the sweeps: a bool is not an int, and nothing is rounded.
+    for call, bad in ((lambda: linking_congruence(7, True, 3),
+                       "q must be an integer, not True"),
+                      (lambda: linking_congruence(7, 1.5, 3),
+                       "q must be an integer, not 1.5"),
+                      (lambda: parity_filter(7.5, 1, 3),
+                       "p must be an integer, not 7.5"),
+                      (lambda: parity_filter(7, 1, 3.0),
+                       "q' must be an integer, not 3.0"),
+                      (lambda: linking_congruence(False, 1, 3),
+                       "p must be an integer, not False")):
+        with pytest.raises(ValueError, match=f"^{bad}$"):
+            call()
+    assert linking_congruence(7, 1, 2).witness == {"unit": 2}
+    assert not parity_filter(7, 0, 3).passed
+
+
 def test_distance_caps():
     assert distance_cap(GeometryClass.REDUCIBLE) == 1
     assert distance_cap(GeometryClass.SEIFERT_TOROIDAL) == 1
@@ -202,3 +221,28 @@ def test_unit_squares_witness_cannot_be_edited():
     again = run_enumeration([7], range(1, 20), filters=["congruence"])
     assert again == first and squares(again) == (1, 2, 4)
     assert linking_congruence(7, 1, 3).witness["unit_squares"] == (1, 2, 4)
+
+
+def test_reason_template_fills_in_as_reason_renders():
+    # Every pair of a class (p, q mod p, gap, whether 0 is a slope) gets
+    # the text of its class's template; witness braces come back as they
+    # were, and the slots take any q, not only the class's first.
+    verdicts = [
+        ObstructionVerdict("distance", False, {"delta": "{0}}"}),
+        ObstructionVerdict("dedekind", False,
+                           {"s_q": "{", "s_q_prime": "{1} }{"}),
+        ObstructionVerdict("congruence", False, {"unit_squares": ("{",)}),
+        ObstructionVerdict("parity", False, {}),
+    ]
+    for p in (1, 2, 6, 7, 12):
+        for q in range(-2 * p, 2 * p):
+            for gap in (1, 2, 3):
+                for v in verdicts:
+                    text = reason_template(p, q, q + gap, v)
+                    if text is None:
+                        assert reason(p, q, q + gap, v) is None
+                        continue
+                    for later in (q + p, q - 5 * p, q + 10 ** 20 * p):
+                        if (0 in (q, q + gap)) == (0 in (later, later + gap)):
+                            assert (text.format(later, later + gap)
+                                    == reason(p, later, later + gap, v))

@@ -2,9 +2,13 @@ import csv
 import hashlib
 import io
 import json
+import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
+from cosmetic import report
 from cosmetic.engine import (
     ClassificationTable,
     ClassifyResult,
@@ -13,8 +17,10 @@ from cosmetic.engine import (
     replicate_theorem,
     run_classification,
     run_enumeration,
+    stream_enumeration,
 )
 from cosmetic.obstructions import (
+    SELECTABLE_FILTERS,
     GeometryClass,
     ObstructionVerdict,
     distance_cap,
@@ -418,3 +424,165 @@ def test_report_bytes_match_goldens(name):
 
 def test_golden_cases_cover_the_distance_warning():
     assert GOLDEN_CASES["enumerate-congruence-dedekind"]().warnings
+
+
+def _rows(result, fmt):
+    # The table rows of a csv or markdown sweep report without warnings.
+    start = 1 if fmt == "csv" else 4
+    lines = emit_report(result, fmt).splitlines()
+    return lines[start:start + len(result.pairs)]
+
+
+def _rows_one_by_one(result, fmt):
+    # The same rows, each rendered in a sweep of its own record, where no
+    # row template is ever built.
+    return [row for pv in result.pairs
+            for row in _rows(result._replace(pairs=(pv,)), fmt)]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "markdown"])
+def test_rows_from_a_shared_trail_match_rows_rendered_alone(fmt,
+                                                            monkeypatch):
+    # Hand-built records no engine makes.  One parity-failure trail
+    # object serves classes whose gcds differ (2 and 3, 3 and 4, only 4,
+    # only 6), two gaps and two values of p, and comes back to p = 12
+    # after p = 6; another trail's witnesses hold braces; most classes
+    # have three rows or more, so their later rows come from templates.
+    parity = (ObstructionVerdict("distance", True, {"delta": 12}),
+              ObstructionVerdict("parity", False, {}))
+    braces = (ObstructionVerdict("distance", False, {"delta": "{"}),
+              ObstructionVerdict("parity", True),
+              ObstructionVerdict("congruence", True, {"unit": "{1}}"}),
+              ObstructionVerdict("dedekind", False,
+                                 {"s_q": "{0}", "s_q_prime": '}{, "'}))
+
+    def records(p, residues, trail, surviving=False, gap=1):
+        return [PairVerdict(p, q, q + gap, trail, surviving)
+                for r in residues for q in (r, r + p, r - 3 * p, r + 9 * p)]
+
+    alone = parity[1:]  # at p = 1 the meridian's text depends on q
+    meridian = [PairVerdict(1, q, q + 1, alone, False)
+                for q in (0, 5, -1, 9, 0)]
+    pairs = tuple(records(12, (2, 3, 4, 5), parity)
+                  + records(6, (2, 3, 5), parity)
+                  + records(12, (2, 3), parity)
+                  + records(12, (2,), parity, gap=13)
+                  + records(7, (1, 2), braces)
+                  + records(7, (1,), braces, surviving=True)
+                  + meridian)
+    result = EnumerationResult(pairs, SELECTABLE_FILTERS, 8, ())
+    calls = []
+    render = report.reason
+
+    def counted(p, q, q_prime, verdict):
+        calls.append((p, q, q_prime))
+        return render(p, q, q_prime, verdict)
+
+    monkeypatch.setattr(report, "reason", counted)
+    got = _rows(result, fmt)
+    if fmt == "csv":
+        # One reason per class, not per pair: the later rows are filled in.
+        assert len(calls) == (4 + 3 + 2 + 1) + 2 * 3 + 2
+    assert got == _rows_one_by_one(result, fmt)
+    if fmt == "csv":
+        assert got[10] == ("12,-32,-31,1,12,pass,fail,skipped,skipped,no,"
+                           '"gcd(-32, 12) = 4, so not a slope pair"')
+        assert got[42] == (
+            '7,-20,-19,1,7,fail,pass,pass,fail,no,"slope distance { exceeds '
+            "the exceptional bound 8; unit {1}}; s(-20, 7) = {0} but "
+            's(-19, 7) = }{, """')
+
+
+@pytest.mark.parametrize("fmt", ["csv", "markdown"])
+def test_engine_classes_render_as_rows_rendered_alone(fmt):
+    # Classes of many pairs, the meridian pairs of p = 1 among them.
+    result = run_enumeration(range(1, 9), range(-30, 31), max_gap=12)
+    assert _rows(result, fmt) == _rows_one_by_one(result, fmt)
+
+
+def _count_texts(monkeypatch):
+    # Count reason() and reason_template() calls by class and filter.
+    calls = {"reason": Counter(), "reason_template": Counter()}
+    for name, counter in calls.items():
+        def counted(p, q, q_prime, verdict, render=getattr(report, name),
+                    counter=counter):
+            counter[p, q % p, q_prime - q, 0 in (q, q_prime), verdict[0]] += 1
+            return render(p, q, q_prime, verdict)
+        monkeypatch.setattr(report, name, counted)
+    return calls["reason"], calls["reason_template"]
+
+
+def test_csv_sweep_renders_each_class_reason_once(monkeypatch):
+    # The counterpart of test_sweep_evaluates_each_class_once_per_sweep:
+    # reason() runs once per failing verdict of a class, not once per pair,
+    # and so does reason_template(), for the class's second pair.
+    reasons, templates = _count_texts(monkeypatch)
+    text = emit_report(stream_enumeration(range(1, 9), range(50000, 51200)),
+                       "csv")
+    assert text.count("\n") == 1 + 8 * (1200 * 8 - 36)
+    assert hashlib.sha256(text.encode()).hexdigest().startswith("0de32a9e")
+    assert reasons and set(reasons.values()) == {1}
+    assert len(reasons) <= 2 * sum(8 * p for p in range(1, 9))
+    assert templates == reasons
+
+
+def test_a_class_of_one_pair_builds_no_template(monkeypatch):
+    # At p = 131 each pair of q 1..100 is a class of its own.
+    reasons, templates = _count_texts(monkeypatch)
+    sweep = run_enumeration([131], range(1, 101), ["congruence", "dedekind"])
+    emit_report(sweep, "csv")
+    assert sum(reasons.values()) >= len(sweep.pairs) == 100 * 8 - 36
+    assert not templates
+
+
+def _corpus_q_set(shape, rng):
+    n = rng.randint(30, 70)
+    if shape == "dense":
+        start = rng.randint(-60, 60000)
+        return range(start, start + n)
+    if shape == "stepped":
+        step, start = rng.randint(2, 7), rng.randint(-200, 60000)
+        return range(start, start + step * n, step)
+    if shape == "sparse":
+        return sorted(rng.sample(range(-400, 1600), n))
+    return [rng.randint(-150, 150) for _ in range(n)]  # repeats, zero too
+
+
+# SHA-256 of the csv and the markdown reports of each q shape's seeded
+# sweeps, concatenated: every filter selection three times, p sets drawn
+# from 1..40, max gaps from 1..100.  Computed before the sweep writer
+# rendered a class's later rows from a template, so a change to the
+# engine's records or to the writer's bytes shows here.
+CORPUS_SHA256 = {
+    "dense": (
+        "f352cd599789589f5a8f2c33b2ac9b0be874fbe885deb0a55291178fb331b455",
+        "2076b5ec7288adf8834bf6264cbcca152eca0c833687956d71211c8bc3f1886b",
+    ),
+    "stepped": (
+        "305002f66d3fb96300d86f4049ae075723e624b45e76fd6609a81f89457d5a65",
+        "76ec0937572180dbc6c944ba450a0725591871f7d179b010dd433c0133f5a60b",
+    ),
+    "sparse": (
+        "7dca68f13ac2cb5d153e7d263b9f0d905e4d0d7a0020a78b6feaa3a16a8c54e7",
+        "1571e0bfb9e6a9e54a63523ae8c0ea6f98d526ecf8dbab324313fa9b191b9c75",
+    ),
+    "unsorted": (
+        "dd212af44c6c7e658fa666112b6c57789e6bb99534c416eab619ecf223bbf198",
+        "75b5d597cdefcebd512a0d8d565ac34fedbd8902bddcf846ba11042cf9bba3f5",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed, shape", enumerate(CORPUS_SHA256, 2800))
+def test_seeded_sweep_corpus_matches_its_digests(seed, shape):
+    rng = random.Random(seed)
+    selections = [list(c) for k in range(4)
+                  for c in combinations(SELECTABLE_FILTERS, k)]
+    digests = hashlib.sha256(), hashlib.sha256()
+    for filters in selections * 3:
+        ps = rng.sample(range(1, 41), rng.randint(1, 6))
+        qs = _corpus_q_set(shape, rng)
+        result = run_enumeration(ps, qs, filters, rng.randint(1, 100))
+        for digest, fmt in zip(digests, ("csv", "markdown")):
+            digest.update(emit_report(result, fmt).encode())
+    assert tuple(d.hexdigest() for d in digests) == CORPUS_SHA256[shape]
