@@ -38,18 +38,6 @@ EXPECTED_IDS = tuple(EXPECTED_DISTANCES)
 
 _TWO_TORUS_IDS = frozenset({"M1", "M2", "M3", "M14"})
 
-# The fields zhs_exterior_filter reads from each kind of homology fact,
-# with their types.
-_FACT_FIELDS = {
-    "cited_exclusion": {"statement": str},
-    "filling_homology": {"filling": str, "betti": int, "torsion": list},
-    "quotient_homology": {"filling": str, "betti": int, "torsion": list},
-    "framing_shift_exclusion": {},
-    "whitehead_surgery_determinant": {"fixed_slope": str},
-    "alexander_polynomial": {"coefficients": dict, "statement": str},
-}
-
-
 class KnownFilling(namedtuple("KnownFilling",
                               "slope kind description order lens",
                               defaults=(None, None))):
@@ -145,11 +133,11 @@ def _validate_record(record):
                 )
     for index, fact in enumerate(record.homology_facts):
         kind = fact.get("kind") if isinstance(fact, dict) else None
-        if type(kind) is not str or kind not in _FACT_FIELDS:
+        if type(kind) is not str or kind not in _FACTS:
             raise ValueError(
                 f"{rid}: homology fact {index} has unknown kind {kind!r}"
             )
-        _require(fact, _FACT_FIELDS[kind],
+        _require(fact, _FACTS[kind][0],
                  f"{rid}: homology fact {index} ({kind})")
 
 
@@ -230,15 +218,32 @@ def _cosmetic_h1_orders(delta):
     return frozenset(orders)
 
 
-def _render_group(betti, torsion):
-    parts = ["Z"] * betti + [f"Z/{t}" for t in torsion]
+def _render_group(fact):
+    parts = ["Z"] * fact["betti"] + [f"Z/{t}" for t in fact["torsion"]]
     return " + ".join(parts) if parts else "0"
+
+
+def _infinite_filling(record, fact):
+    if fact["betti"] > 0:
+        return (f"the {fact['filling']} filling has H_1 = "
+                f"{_render_group(fact)}, which is infinite; a filling along "
+                "a cosmetic slope p/q with p >= 1 is a rational homology "
+                "sphere")
+    return None
+
+
+def _noncyclic_quotient(record, fact):
+    if len(fact["torsion"]) >= 2:
+        return (f"H_1 of {fact['filling']} surjects onto "
+                f"{_render_group(fact)}, but a knot exterior in a homology "
+                "sphere has H_1 = Z, all of whose quotients are cyclic")
+    return None
 
 
 _MINUS_ONE = canonicalize_slope(-1, 1)
 
 
-def _framing_shift_exclusion(record):
+def _framing_shift_exclusion(record, _fact):
     lens = record.lens_fillings()
     toroidal = record.toroidal_fillings()
     if len(lens) != 1 or len(toroidal) != 2:
@@ -257,34 +262,50 @@ def _framing_shift_exclusion(record):
     ]
     if orders[0] & orders[1]:
         return None
-    return ExteriorVerdict(
-        excluded=True,
-        reason=(
-            f"the lens filling {lens[0].description} (order {lens[0].order}) "
+    return (f"the lens filling {lens[0].description} (order {lens[0].order}) "
             f"pins the framing shift to {sorted(shifts)}; the toroidal "
             f"fillings then have |H_1| in {sorted(orders[0])} and "
             f"{sorted(orders[1])}, disjoint sets, so they are never "
-            "orientation-preservingly homeomorphic"
-        ),
-    )
+            "orientation-preservingly homeomorphic")
 
 
 def _whitehead_determinant_exclusion(record, fact):
-    fixed = Slope.parse(fact["fixed_slope"])
-    c = abs(fixed.a)
+    c = abs(Slope.parse(fact["fixed_slope"]).a)
     delta = record.toroidal_pair_distance
     allowed = _cosmetic_h1_orders(delta)
     if any(h % c == 0 for h in allowed):
         return None
-    return ExteriorVerdict(
-        excluded=True,
-        reason=(
-            f"every filling is surgery on the Whitehead link with one "
+    return (f"every filling is surgery on the Whitehead link with one "
             f"coefficient {fact['fixed_slope']}, so |H_1| is a multiple of "
             f"{c}; a truly cosmetic exceptional pair at distance {delta} "
-            f"forces |H_1| in {sorted(allowed)}"
-        ),
-    )
+            f"forces |H_1| in {sorted(allowed)}")
+
+
+def _alexander_exclusion(record, fact):
+    poly = AlexanderPolynomial.from_coefficients(fact["coefficients"])
+    d2 = alexander_second_derivative_at_1(poly)
+    if d2 != 0:
+        return (f"{fact['statement']} That knot has Alexander second "
+                f"derivative {d2} != 0 at t = 1, while a truly cosmetic "
+                "pair forces it to vanish")
+    return None
+
+
+# Each kind of homology fact: the JSON fields the loader checks, with
+# their types, and the rule that turns the fact into an exclusion reason,
+# or None when the fact rules nothing out.
+_GROUP_FIELDS = {"filling": str, "betti": int, "torsion": list}
+_FACTS = {
+    "cited_exclusion": ({"statement": str},
+                        lambda record, fact: fact["statement"]),
+    "filling_homology": (_GROUP_FIELDS, _infinite_filling),
+    "quotient_homology": (_GROUP_FIELDS, _noncyclic_quotient),
+    "framing_shift_exclusion": ({}, _framing_shift_exclusion),
+    "whitehead_surgery_determinant": ({"fixed_slope": str},
+                                      _whitehead_determinant_exclusion),
+    "alexander_polynomial": ({"coefficients": dict, "statement": str},
+                             _alexander_exclusion),
+}
 
 
 def zhs_exterior_filter(record):
@@ -297,52 +318,12 @@ def zhs_exterior_filter(record):
     """
     for fact in record.homology_facts:
         kind = fact["kind"]
-        if kind == "cited_exclusion":
-            return ExteriorVerdict(True, fact["statement"], cited=True)
-        if kind == "filling_homology":
-            if fact["betti"] > 0:
-                group = _render_group(fact["betti"], fact["torsion"])
-                return ExteriorVerdict(
-                    excluded=True,
-                    reason=(
-                        f"the {fact['filling']} filling has H_1 = {group}, "
-                        "which is infinite; a filling along a cosmetic slope "
-                        "p/q with p >= 1 is a rational homology sphere"
-                    ),
-                )
-        elif kind == "quotient_homology":
-            if len(fact["torsion"]) >= 2:
-                group = _render_group(fact["betti"], fact["torsion"])
-                return ExteriorVerdict(
-                    excluded=True,
-                    reason=(
-                        f"H_1 of {fact['filling']} surjects onto {group}, "
-                        "but a knot exterior in a homology sphere has "
-                        "H_1 = Z, all of whose quotients are cyclic"
-                    ),
-                )
-        elif kind == "framing_shift_exclusion":
-            verdict = _framing_shift_exclusion(record)
-            if verdict is not None:
-                return verdict
-        elif kind == "whitehead_surgery_determinant":
-            verdict = _whitehead_determinant_exclusion(record, fact)
-            if verdict is not None:
-                return verdict
-        elif kind == "alexander_polynomial":
-            poly = AlexanderPolynomial.from_coefficients(fact["coefficients"])
-            d2 = alexander_second_derivative_at_1(poly)
-            if d2 != 0:
-                return ExteriorVerdict(
-                    excluded=True,
-                    reason=(
-                        f"{fact['statement']} That knot has Alexander second "
-                        f"derivative {d2} != 0 at t = 1, while a truly "
-                        "cosmetic pair forces it to vanish"
-                    ),
-                )
-        else:
+        if type(kind) is not str or kind not in _FACTS:
             raise ValueError(f"{record.id}: unknown homology fact kind {kind!r}")
+        reason = _FACTS[kind][1](record, fact)
+        if reason is not None:
+            return ExteriorVerdict(True, reason,
+                                   cited=kind == "cited_exclusion")
     return ExteriorVerdict(excluded=False)
 
 
