@@ -9,6 +9,12 @@ homology calculus in `homology`, whether a census manifold can be the
 exterior of a knot in an integer homology sphere with such a pair.  All
 eighteen are excluded; the verdict carries a reason a reader can replay.
 
+Each kind of homology fact has one row in `_FACTS`: the fields the loader
+checks and the rule that turns the fact into a reason.  A
+`cited_exclusion` restates a published result and is marked cited; the
+other kinds (filling and quotient homology, the framing shift, the
+Whitehead determinant, the Alexander polynomial) recompute the exclusion.
+
 The census ships as a versioned JSON file next to this module and can be
 overridden (--census-file in the CLI) for experiments.
 """
@@ -99,13 +105,12 @@ def _parse_filling(raw, where):
     _require(raw, {"slope": str, "kind": str}, where)
     _require(raw, {"description": str, "order": int, "lens": list}, where,
              optional=True)
-    lens = tuple(raw["lens"]) if "lens" in raw else None
     return KnownFilling(
         slope=Slope.parse(raw["slope"]),
         kind=raw["kind"],
         description=raw.get("description", ""),
         order=raw.get("order"),
-        lens=lens,
+        lens=tuple(raw["lens"]) if "lens" in raw else None,
     )
 
 
@@ -124,21 +129,34 @@ def _validate_record(record):
             f"{rid}: expected {expected_tori} boundary tori, "
             f"got {record.boundary_tori}"
         )
-    for filling in record.known_fillings:
-        if filling.kind == "lens":
-            if filling.lens is None or filling.order != filling.lens[0]:
-                raise ValueError(
-                    f"{rid}: lens filling {filling.description!r} must "
-                    "record order equal to the first lens parameter"
-                )
+    for filling in record.lens_fillings():
+        if not filling.lens or filling.order != filling.lens[0]:
+            raise ValueError(
+                f"{rid}: lens filling {filling.description!r} must "
+                "record order equal to the first lens parameter"
+            )
     for index, fact in enumerate(record.homology_facts):
         kind = fact.get("kind") if isinstance(fact, dict) else None
         if type(kind) is not str or kind not in _FACTS:
             raise ValueError(
                 f"{rid}: homology fact {index} has unknown kind {kind!r}"
             )
-        _require(fact, _FACTS[kind][0],
-                 f"{rid}: homology fact {index} ({kind})")
+        where = f"{rid}: homology fact {index} ({kind})"
+        _require(fact, _FACTS[kind][0], where)
+        if _FACTS[kind][0] is _GROUP_FIELDS:
+            _check_group(fact, where)
+
+
+def _check_group(fact, where):
+    # The group in invariant-factor form, which is what the rules read.
+    torsion = fact["torsion"]
+    if fact["betti"] < 0:
+        raise ValueError(f"{where}: 'betti' {fact['betti']} is negative")
+    if not all(type(t) is int and t >= 2 for t in torsion) or any(
+            b % a for a, b in zip(torsion, torsion[1:])):
+        raise ValueError(f"{where}: 'torsion' {torsion!r} is not a list of "
+                         "invariant factors (integers >= 2, each dividing "
+                         "the next)")
 
 
 def load_census(path=None):
@@ -146,18 +164,20 @@ def load_census(path=None):
 
     With no path, reads the JSON file shipped inside the package.
     """
-    if path is None:
-        text = resources.files(__package__).joinpath("census.json").read_text()
-    else:
-        with open(path) as handle:
-            text = handle.read()
     try:
+        if path is None:
+            text = resources.files(__package__).joinpath(
+                "census.json").read_text(encoding="utf-8")
+        else:
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
         data = json.loads(text)
     except RecursionError:
         raise ValueError("census file is nested too deeply") from None
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        form = "UTF-8" if isinstance(exc, UnicodeDecodeError) else "JSON"
         raise ValueError(f"census file {path or 'census.json'} is not valid "
-                         f"JSON: {exc}") from None
+                         f"{form}: {exc}") from None
     _require(data, {"schema_version": int, "records": list}, "census file")
     if data["schema_version"] != CENSUS_SCHEMA_VERSION:
         raise ValueError(
@@ -208,14 +228,9 @@ def _cosmetic_h1_orders(delta):
     # p * gap = delta.  {1} at distances 6 and 7; {1, 2} at distance 8.
     from .engine import surviving_families
 
-    orders = set()
-    for p in range(1, delta + 1):
-        if delta % p:
-            continue
-        gap = delta // p
-        if any(f.gap == gap for f in surviving_families(p)):
-            orders.add(p)
-    return frozenset(orders)
+    return frozenset(
+        p for p in range(1, delta + 1) if delta % p == 0
+        and any(f.gap == delta // p for f in surviving_families(p)))
 
 
 def _render_group(fact):
@@ -271,6 +286,9 @@ def _framing_shift_exclusion(record, _fact):
 
 def _whitehead_determinant_exclusion(record, fact):
     c = abs(Slope.parse(fact["fixed_slope"]).a)
+    if c == 0:
+        raise ValueError(f"{record.id}: Whitehead coefficient "
+                         f"{fact['fixed_slope']} has numerator 0")
     delta = record.toroidal_pair_distance
     allowed = _cosmetic_h1_orders(delta)
     if any(h % c == 0 for h in allowed):

@@ -214,8 +214,12 @@ def test_load_rejects_unknown_fact_kind(tmp_path):
      "M1: homology fact 0 has unknown kind ['x']"),
     (lambda data: data["records"][5]["known_fillings"][0].update(lens=7),
      "M6: known filling 0: 'lens' is not a JSON list"),
+    (lambda data: data["records"][5]["known_fillings"][0].update(lens=[]),
+     "M6: lens filling 'M6(infinity) = L(9,2)' must record order equal to "
+     "the first lens parameter"),
 ], ids=["filling-slope", "record-id", "slope-type", "betti-type",
-        "coefficients-type", "fixed-slope-type", "kind-type", "lens-type"])
+        "coefficients-type", "fixed-slope-type", "kind-type", "lens-type",
+        "lens-empty"])
 def test_load_names_a_missing_record_or_filling_key(tmp_path, capsys, edit,
                                                      message):
     data = _census_data()
@@ -252,3 +256,95 @@ def test_replace_cannot_build_an_unexplained_exclusion():
     for reason in (None, ""):
         with pytest.raises(ValueError):
             verdict._replace(reason=reason)
+
+
+_NOT_FACTORS = (" is not a list of invariant factors (integers >= 2, each "
+                "dividing the next)")
+
+
+@pytest.mark.parametrize("field, value, text", [
+    ("torsion", [2, 3], "'torsion' [2, 3]" + _NOT_FACTORS),
+    ("torsion", [1, 2], "'torsion' [1, 2]" + _NOT_FACTORS),
+    ("torsion", ["a"], "'torsion' ['a']" + _NOT_FACTORS),
+    ("betti", -1, "'betti' -1 is negative"),
+], ids=["coprime", "unit", "string", "negative-betti"])
+def test_load_takes_only_invariant_factor_groups(tmp_path, capsys, field,
+                                                 value, text):
+    # Z/2 + Z/3 is the cyclic Z/6, so reading [2, 3] as two summands would
+    # exclude M14 on a false premise.
+    data = _census_data()
+    (m14,) = [r for r in data["records"] if r["id"] == "M14"]
+    m14["homology_facts"][0][field] = value
+    path = _write(tmp_path, data)
+    message = f"M14: homology fact 0 (quotient_homology): {text}"
+    with pytest.raises(ValueError) as info:
+        load_census(path)
+    assert str(info.value) == message
+    for argv in (["census", "show", "M14"], ["replicate-theorem"]):
+        assert main([*argv, "--census-file", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_whitehead_coefficient_zero_is_an_error(tmp_path, capsys):
+    data = _census_data()
+    (w2,) = [r for r in data["records"] if r["id"] == "W(2)"]
+    w2["homology_facts"][0]["fixed_slope"] = "0/1"
+    path = str(_write(tmp_path, data))
+    error = "error: W(2): Whitehead coefficient 0/1 has numerator 0\n"
+    assert main(["census", "show", "W(2)", "--census-file", path]) == 1
+    assert capsys.readouterr().err == error
+    assert main(["replicate-theorem", "--census-file", path]) == 1
+    assert capsys.readouterr() == ("", error)
+
+
+def _verdict_with(record, *facts):
+    # The verdict on `record` built by hand with these homology facts.
+    return zhs_exterior_filter(record._replace(homology_facts=facts))
+
+
+def test_filter_names_a_kind_missing_from_the_table():
+    # Only a record built by hand can carry one; load_census rejects it.
+    with pytest.raises(ValueError) as info:
+        _verdict_with(load_census()["M5"], {"kind": "hearsay"})
+    assert str(info.value) == "M5: unknown homology fact kind 'hearsay'"
+
+
+def test_a_fact_that_excludes_nothing_falls_through_to_the_next():
+    m4 = load_census()["M4"]
+    finite = dict(m4.homology_facts[0], betti=0)
+    cited = {"kind": "cited_exclusion", "statement": "Cited."}
+    assert _verdict_with(m4, finite) == (False, None, False)
+    assert _verdict_with(m4, finite, cited) == (True, "Cited.", True)
+    # The first excluding fact decides; a later one is never read.
+    computed = _verdict_with(m4, *m4.homology_facts)
+    assert not computed.cited
+    assert _verdict_with(m4, *m4.homology_facts, cited) == computed
+
+
+_WRONG_VALUES = (0, -1, [], [2, 3], "0/1", "", {}, True, None)
+
+
+def test_every_single_field_corruption_keeps_the_exit_contract(tmp_path,
+                                                               capsys):
+    # Each field of each fact and filling of the shipped census, set to
+    # each wrong value in turn: `census show` of that record exits 0, 1
+    # or 2 and never raises, and an exit 1 prints one error line.
+    data = _census_data()
+    path = tmp_path / "census.json"
+    for record in data["records"]:
+        entries = record["homology_facts"] + record["known_fillings"]
+        for entry, field in [(e, f) for e in entries for f in list(e)]:
+            kept = entry[field]
+            for value in _WRONG_VALUES:
+                entry[field] = value
+                path.write_text(json.dumps(data))
+                argv = ["census", "show", record["id"], "--census-file",
+                        str(path)]
+                code = main(argv)
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2), (argv, field, value)
+                if code == 1:
+                    assert err.startswith("error: "), (field, value, err)
+                    assert err.count("\n") == 1, (field, value, err)
+            entry[field] = kept
+    assert data == _census_data()

@@ -356,6 +356,19 @@ def test_census_file_that_is_not_json_exits_one(tmp_path, capsys):
             "Expecting value: line 1 column 35 (char 34)\n")
 
 
+def test_census_file_that_is_not_utf8_exits_one(tmp_path, capsys):
+    # One error line that names the file, not the codec's text alone.
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b"\xff\xfe{}\n")
+    for argv in (["census", "show", "M8", "--census-file", str(latin)],
+                 ["replicate-theorem", "--census-file", str(latin)]):
+        assert main(argv) == 1
+        assert capsys.readouterr() == (
+            "", f"error: census file {latin} is not valid UTF-8: 'utf-8' "
+            "codec can't decode byte 0xff in position 0: invalid start "
+            "byte\n")
+
+
 def test_jobs_below_one_rejected():
     proc = run_cli("enumerate", "--p", "3", "--q", "1..5", "--jobs", "0",
                    expect=1)
