@@ -9,11 +9,12 @@ homology calculus in `homology`, whether a census manifold can be the
 exterior of a knot in an integer homology sphere with such a pair.  All
 eighteen are excluded; the verdict carries a reason a reader can replay.
 
-Each kind of homology fact has one row in `_FACTS`: the fields the loader
-checks and the rule that turns the fact into a reason.  A
-`cited_exclusion` restates a published result and is marked cited; the
-other kinds (filling and quotient homology, the framing shift, the
-Whitehead determinant, the Alexander polynomial) recompute the exclusion.
+Each kind of homology fact has one row in `_FACTS`: its fields, the check
+of their values (both made when the census loads) and the rule that turns
+the fact into a reason.  A `cited_exclusion` restates a published result
+and is marked cited; the other kinds (filling and quotient homology, the
+framing shift, the Whitehead determinant, the Alexander polynomial)
+recompute the exclusion.
 
 The census ships as a versioned JSON file next to this module and can be
 overridden (--census-file in the CLI) for experiments.
@@ -43,6 +44,7 @@ EXPECTED_DISTANCES = {
 EXPECTED_IDS = tuple(EXPECTED_DISTANCES)
 
 _TWO_TORUS_IDS = frozenset({"M1", "M2", "M3", "M14"})
+
 
 class KnownFilling(namedtuple("KnownFilling",
                               "slope kind description order lens",
@@ -105,12 +107,13 @@ def _parse_filling(raw, where):
     _require(raw, {"slope": str, "kind": str}, where)
     _require(raw, {"description": str, "order": int, "lens": list}, where,
              optional=True)
+    lens = tuple(raw["lens"]) if "lens" in raw else None
     return KnownFilling(
         slope=Slope.parse(raw["slope"]),
         kind=raw["kind"],
         description=raw.get("description", ""),
         order=raw.get("order"),
-        lens=tuple(raw["lens"]) if "lens" in raw else None,
+        lens=lens,
     )
 
 
@@ -142,21 +145,12 @@ def _validate_record(record):
                 f"{rid}: homology fact {index} has unknown kind {kind!r}"
             )
         where = f"{rid}: homology fact {index} ({kind})"
-        _require(fact, _FACTS[kind][0], where)
-        if _FACTS[kind][0] is _GROUP_FIELDS:
-            _check_group(fact, where)
-
-
-def _check_group(fact, where):
-    # The group in invariant-factor form, which is what the rules read.
-    torsion = fact["torsion"]
-    if fact["betti"] < 0:
-        raise ValueError(f"{where}: 'betti' {fact['betti']} is negative")
-    if not all(type(t) is int and t >= 2 for t in torsion) or any(
-            b % a for a, b in zip(torsion, torsion[1:])):
-        raise ValueError(f"{where}: 'torsion' {torsion!r} is not a list of "
-                         "invariant factors (integers >= 2, each dividing "
-                         "the next)")
+        fields, check, _ = _FACTS[kind]
+        _require(fact, fields, where)
+        try:
+            check(record, fact)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
 
 
 def load_census(path=None):
@@ -228,9 +222,30 @@ def _cosmetic_h1_orders(delta):
     # p * gap = delta.  {1} at distances 6 and 7; {1, 2} at distance 8.
     from .engine import surviving_families
 
-    return frozenset(
-        p for p in range(1, delta + 1) if delta % p == 0
-        and any(f.gap == delta // p for f in surviving_families(p)))
+    orders = set()
+    for p in range(1, delta + 1):
+        if delta % p:
+            continue
+        gap = delta // p
+        if any(f.gap == gap for f in surviving_families(p)):
+            orders.add(p)
+    return frozenset(orders)
+
+
+def _check_statement(record, fact):
+    if not fact["statement"]:
+        raise ValueError("'statement' is empty")
+
+
+def _check_group(record, fact):
+    # The group in invariant-factor form, which is what the rules read.
+    torsion = fact["torsion"]
+    if fact["betti"] < 0:
+        raise ValueError(f"'betti' {fact['betti']} is negative")
+    if not all(type(t) is int and t >= 2 for t in torsion) or any(
+            b % a for a, b in zip(torsion, torsion[1:])):
+        raise ValueError(f"'torsion' {torsion!r} is not a list of invariant "
+                         "factors (integers >= 2, each dividing the next)")
 
 
 def _render_group(fact):
@@ -258,19 +273,19 @@ def _noncyclic_quotient(record, fact):
 _MINUS_ONE = canonicalize_slope(-1, 1)
 
 
+def _check_framing_shift(record, _fact):
+    lens = record.lens_fillings()
+    if len(lens) != 1 or len(record.toroidal_fillings()) != 2:
+        raise ValueError("the framing-shift exclusion needs one lens filling "
+                         "and the two toroidal fillings on record")
+    if lens[0].slope != _MINUS_ONE:
+        raise ValueError("the framing-shift argument expects the lens "
+                         "filling at slope -1 in the census framing")
+
+
 def _framing_shift_exclusion(record, _fact):
     lens = record.lens_fillings()
     toroidal = record.toroidal_fillings()
-    if len(lens) != 1 or len(toroidal) != 2:
-        raise ValueError(
-            f"{record.id}: framing-shift exclusion needs one lens filling "
-            "and the two toroidal fillings on record"
-        )
-    if lens[0].slope != _MINUS_ONE:
-        raise ValueError(
-            f"{record.id}: the framing-shift argument expects the lens "
-            "filling at slope -1 in the census framing"
-        )
     shifts = solve_framing_shift(lens[0].order)
     orders = [
         deduced_filling_orders(shifts, filling.slope) for filling in toroidal
@@ -284,11 +299,15 @@ def _framing_shift_exclusion(record, _fact):
             "orientation-preservingly homeomorphic")
 
 
+def _check_coefficient(record, fact):
+    if Slope.parse(fact["fixed_slope"]).a == 0:
+        raise ValueError(f"'fixed_slope' {fact['fixed_slope']!r} has "
+                         "numerator 0")
+
+
 def _whitehead_determinant_exclusion(record, fact):
-    c = abs(Slope.parse(fact["fixed_slope"]).a)
-    if c == 0:
-        raise ValueError(f"{record.id}: Whitehead coefficient "
-                         f"{fact['fixed_slope']} has numerator 0")
+    fixed = Slope.parse(fact["fixed_slope"])
+    c = abs(fixed.a)
     delta = record.toroidal_pair_distance
     allowed = _cosmetic_h1_orders(delta)
     if any(h % c == 0 for h in allowed):
@@ -297,6 +316,10 @@ def _whitehead_determinant_exclusion(record, fact):
             f"coefficient {fact['fixed_slope']}, so |H_1| is a multiple of "
             f"{c}; a truly cosmetic exceptional pair at distance {delta} "
             f"forces |H_1| in {sorted(allowed)}")
+
+
+def _check_polynomial(record, fact):
+    AlexanderPolynomial.from_coefficients(fact["coefficients"])
 
 
 def _alexander_exclusion(record, fact):
@@ -310,19 +333,22 @@ def _alexander_exclusion(record, fact):
 
 
 # Each kind of homology fact: the JSON fields the loader checks, with
-# their types, and the rule that turns the fact into an exclusion reason,
-# or None when the fact rules nothing out.
+# their types; the check of their values, also made at load; and the rule
+# that turns a loaded fact into an exclusion reason, or None when the fact
+# rules nothing out.
 _GROUP_FIELDS = {"filling": str, "betti": int, "torsion": list}
 _FACTS = {
-    "cited_exclusion": ({"statement": str},
+    "cited_exclusion": ({"statement": str}, _check_statement,
                         lambda record, fact: fact["statement"]),
-    "filling_homology": (_GROUP_FIELDS, _infinite_filling),
-    "quotient_homology": (_GROUP_FIELDS, _noncyclic_quotient),
-    "framing_shift_exclusion": ({}, _framing_shift_exclusion),
+    "filling_homology": (_GROUP_FIELDS, _check_group, _infinite_filling),
+    "quotient_homology": (_GROUP_FIELDS, _check_group, _noncyclic_quotient),
+    "framing_shift_exclusion": ({}, _check_framing_shift,
+                                _framing_shift_exclusion),
     "whitehead_surgery_determinant": ({"fixed_slope": str},
+                                      _check_coefficient,
                                       _whitehead_determinant_exclusion),
     "alexander_polynomial": ({"coefficients": dict, "statement": str},
-                             _alexander_exclusion),
+                             _check_polynomial, _alexander_exclusion),
 }
 
 
@@ -338,7 +364,7 @@ def zhs_exterior_filter(record):
         kind = fact["kind"]
         if type(kind) is not str or kind not in _FACTS:
             raise ValueError(f"{record.id}: unknown homology fact kind {kind!r}")
-        reason = _FACTS[kind][1](record, fact)
+        reason = _FACTS[kind][2](record, fact)
         if reason is not None:
             return ExteriorVerdict(True, reason,
                                    cited=kind == "cited_exclusion")

@@ -285,16 +285,54 @@ def test_load_takes_only_invariant_factor_groups(tmp_path, capsys, field,
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+def _fails_at_load(tmp_path, capsys, data, rid, message):
+    # load_census raises `message`; `census show` and `replicate-theorem`
+    # print it as one error line and nothing else, exit 1.
+    path = _write(tmp_path, data)
+    with pytest.raises(ValueError) as info:
+        load_census(path)
+    assert str(info.value) == message
+    for argv in (["census", "show", rid], ["replicate-theorem"]):
+        assert main([*argv, "--census-file", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_whitehead_coefficient_zero_is_an_error(tmp_path, capsys):
     data = _census_data()
     (w2,) = [r for r in data["records"] if r["id"] == "W(2)"]
     w2["homology_facts"][0]["fixed_slope"] = "0/1"
-    path = str(_write(tmp_path, data))
-    error = "error: W(2): Whitehead coefficient 0/1 has numerator 0\n"
-    assert main(["census", "show", "W(2)", "--census-file", path]) == 1
-    assert capsys.readouterr().err == error
-    assert main(["replicate-theorem", "--census-file", path]) == 1
-    assert capsys.readouterr() == ("", error)
+    _fails_at_load(tmp_path, capsys, data, "W(2)",
+                   "W(2): homology fact 0 (whitehead_surgery_determinant): "
+                   "'fixed_slope' '0/1' has numerator 0")
+
+
+@pytest.mark.parametrize("rid, edit, text", [
+    ("M1", lambda r: r["homology_facts"][0].update(statement=""),
+     "(cited_exclusion): 'statement' is empty"),
+    ("M8", lambda r: r["known_fillings"][0].update(kind="exceptional"),
+     "(framing_shift_exclusion): the framing-shift exclusion needs one "
+     "lens filling and the two toroidal fillings on record"),
+    ("M8", lambda r: r["known_fillings"][2].update(slope="0/1"),
+     "(framing_shift_exclusion): the framing-shift argument expects the "
+     "lens filling at slope -1 in the census framing"),
+    ("W(1)", lambda r: r["homology_facts"][0].update(fixed_slope="1/x"),
+     "(whitehead_surgery_determinant): invalid literal for int() with "
+     "base 10: 'x'"),
+    ("W(1)", lambda r: r["homology_facts"][1].update(coefficients={}),
+     "(alexander_polynomial): Alexander polynomial must be normalized to "
+     "value +-1 at t = 1"),
+], ids=["empty-statement", "one-toroidal", "lens-slope", "fixed-slope-text",
+        "no-polynomial"])
+def test_each_kind_checks_its_values_at_load(tmp_path, capsys, rid, edit,
+                                             text):
+    # A value the rule could not read is rejected before any output, so
+    # `census show` never prints a record it cannot judge.
+    data = _census_data()
+    (record,) = [r for r in data["records"] if r["id"] == rid]
+    edit(record)
+    index = "1" if text.startswith("(alexander") else "0"
+    _fails_at_load(tmp_path, capsys, data, rid,
+                   f"{rid}: homology fact {index} {text}")
 
 
 def _verdict_with(record, *facts):
@@ -328,7 +366,8 @@ def test_every_single_field_corruption_keeps_the_exit_contract(tmp_path,
                                                                capsys):
     # Each field of each fact and filling of the shipped census, set to
     # each wrong value in turn: `census show` of that record exits 0, 1
-    # or 2 and never raises, and an exit 1 prints one error line.
+    # or 2 and never raises, and an exit 1 prints one error line and
+    # nothing on standard output.
     data = _census_data()
     path = tmp_path / "census.json"
     for record in data["records"]:
@@ -341,9 +380,10 @@ def test_every_single_field_corruption_keeps_the_exit_contract(tmp_path,
                 argv = ["census", "show", record["id"], "--census-file",
                         str(path)]
                 code = main(argv)
-                err = capsys.readouterr().err
+                out, err = capsys.readouterr()
                 assert code in (0, 1, 2), (argv, field, value)
                 if code == 1:
+                    assert out == "", (field, value, out)
                     assert err.startswith("error: "), (field, value, err)
                     assert err.count("\n") == 1, (field, value, err)
             entry[field] = kept
