@@ -133,7 +133,8 @@ def _validate_record(record):
             f"got {record.boundary_tori}"
         )
     for filling in record.lens_fillings():
-        if not filling.lens or filling.order != filling.lens[0]:
+        if (not filling.lens or filling.order is None
+                or filling.order != filling.lens[0]):
             raise ValueError(
                 f"{rid}: lens filling {filling.description!r} must "
                 "record order equal to the first lens parameter"
@@ -281,6 +282,9 @@ def _check_framing_shift(record, _fact):
     if lens[0].slope != _MINUS_ONE:
         raise ValueError("the framing-shift argument expects the lens "
                          "filling at slope -1 in the census framing")
+    if lens[0].order < 0:
+        raise ValueError(f"the lens filling's order {lens[0].order} is "
+                         "negative")
 
 
 def _framing_shift_exclusion(record, _fact):

@@ -192,6 +192,13 @@ def test_load_rejects_unknown_fact_kind(tmp_path):
         load_census(_write(tmp_path, data))
 
 
+def _drop_order(filling):
+    # A lens filling with no order and a lens list whose first entry is
+    # null: None equals None, so only a check for the order itself fails it.
+    del filling["order"]
+    filling["lens"] = [None]
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda data: data["records"][7]["known_fillings"][1].pop("slope"),
      "M8: known filling 1 has no 'slope' field"),
@@ -217,9 +224,12 @@ def test_load_rejects_unknown_fact_kind(tmp_path):
     (lambda data: data["records"][5]["known_fillings"][0].update(lens=[]),
      "M6: lens filling 'M6(infinity) = L(9,2)' must record order equal to "
      "the first lens parameter"),
+    (lambda data: _drop_order(data["records"][5]["known_fillings"][0]),
+     "M6: lens filling 'M6(infinity) = L(9,2)' must record order equal to "
+     "the first lens parameter"),
 ], ids=["filling-slope", "record-id", "slope-type", "betti-type",
         "coefficients-type", "fixed-slope-type", "kind-type", "lens-type",
-        "lens-empty"])
+        "lens-empty", "lens-no-order"])
 def test_load_names_a_missing_record_or_filling_key(tmp_path, capsys, edit,
                                                      message):
     data = _census_data()
@@ -315,14 +325,16 @@ def test_whitehead_coefficient_zero_is_an_error(tmp_path, capsys):
     ("M8", lambda r: r["known_fillings"][2].update(slope="0/1"),
      "(framing_shift_exclusion): the framing-shift argument expects the "
      "lens filling at slope -1 in the census framing"),
+    ("M8", lambda r: r["known_fillings"][2].update(order=-4, lens=[-4, 1]),
+     "(framing_shift_exclusion): the lens filling's order -4 is negative"),
     ("W(1)", lambda r: r["homology_facts"][0].update(fixed_slope="1/x"),
      "(whitehead_surgery_determinant): invalid literal for int() with "
      "base 10: 'x'"),
     ("W(1)", lambda r: r["homology_facts"][1].update(coefficients={}),
      "(alexander_polynomial): Alexander polynomial must be normalized to "
      "value +-1 at t = 1"),
-], ids=["empty-statement", "one-toroidal", "lens-slope", "fixed-slope-text",
-        "no-polynomial"])
+], ids=["empty-statement", "one-toroidal", "lens-slope", "lens-order",
+        "fixed-slope-text", "no-polynomial"])
 def test_each_kind_checks_its_values_at_load(tmp_path, capsys, rid, edit,
                                              text):
     # A value the rule could not read is rejected before any output, so
