@@ -38,9 +38,9 @@ _EXPORTS = {
     "invariants": ("AlexanderPolynomial", "LensSpace",
                    "alexander_second_derivative_at_1", "casson_lens",
                    "casson_surgery", "cosmetic_dedekind_obstruction"),
-    "obstructions": ("GeometryClass", "ObstructionVerdict", "distance_cap",
-                     "linking_congruence", "parity_filter", "reason",
-                     "unit_squares_mod"),
+    "obstructions": ("GeometryClass", "ObstructionVerdict", "Witness",
+                     "distance_cap", "linking_congruence", "parity_filter",
+                     "reason", "unit_squares_mod"),
     "oracle": ("verify_families", "verify_pairs"),
     "report": ("emit_report", "write_report"),
     "slopes": ("Slope", "canonicalize_slope", "format_rational",

@@ -108,8 +108,12 @@ def _parse_filling(raw, where):
     _require(raw, {"description": str, "order": int, "lens": list}, where,
              optional=True)
     lens = tuple(raw["lens"]) if "lens" in raw else None
+    try:
+        slope = Slope.parse(raw["slope"])
+    except ValueError as exc:
+        raise ValueError(f"{where} slope: {exc}") from None
     return KnownFilling(
-        slope=Slope.parse(raw["slope"]),
+        slope=slope,
         kind=raw["kind"],
         description=raw.get("description", ""),
         order=raw.get("order"),

@@ -28,6 +28,7 @@ from .obstructions import (
     FILTER_ORDER,
     GeometryClass,
     ObstructionVerdict,
+    Witness,
     _normalize_filters,
     congruence_verdict,
     dedekind_verdict,
@@ -152,7 +153,8 @@ def _evaluate(p, q, q_prime, filters, residues):
     if "distance" in filters:
         delta = p * (q_prime - q)
         verdicts.append(ObstructionVerdict(
-            "distance", delta <= EXCEPTIONAL_DISTANCE_BOUND, {"delta": delta}))
+            "distance", delta <= EXCEPTIONAL_DISTANCE_BOUND,
+            Witness(delta=delta)))
     g, t_q, s_q, q_inverse = residues[q % p]
     h, t_q_prime, s_q_prime, q_prime_inverse = residues[q_prime % p]
     parity = parity_verdict(q, q_prime, g, h)

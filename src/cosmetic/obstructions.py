@@ -79,15 +79,29 @@ def distance_cap(geometry):
     return CASES[geometry][0]
 
 
+class Witness(dict):
+    """A verdict's witness: a dict whose edits raise TypeError, so the
+    pairs of a residue class can share it.  Pickle and copy keep it."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a verdict witness is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+    __reduce__ = lambda self: (Witness, (dict(self),))  # pickle and copy
+
+
 class ObstructionVerdict(
         namedtuple("ObstructionVerdict", "filter_name passed witness")):
     """Outcome of one filter on one candidate pair.
 
-    `witness` holds the numbers that replay the outcome: the slope
-    distance, the two Dedekind sums, the unit squares of a failing
-    congruence, the unit u with q = q' * u^2 (mod p) of a passing one.  A
-    failing verdict always carries one (a failing parity's is {}); its
-    text is never stored, and `reason` renders it from these numbers.
+    `witness` (a read-only Witness from the filters) holds the numbers
+    that replay the outcome: the slope distance, the two Dedekind sums,
+    the unit squares of a failing congruence, the unit u with q = q' * u^2
+    (mod p) of a passing one.  A failing verdict always carries one (a
+    failing parity's is empty); its text is not stored: `reason` renders it.
     """
 
     __slots__ = ()
@@ -106,17 +120,17 @@ _new = tuple.__new__  # for builders whose failing verdicts carry witnesses
 # depends on p, not on how many moduli a sweep holds.
 @lru_cache(maxsize=32)
 def _unit_squares(p):
-    # {u^2 mod p: the smallest unit u with that square} and the squares in
-    # ascending order, by one O(p) scan.  Every caller shares both and
-    # only reads the dict; each failing congruence witness of p holds the
-    # tuple, which no caller can edit.
-    if p == 1:
-        return {0: 0}, (0,)
-    roots = {}
+    # {u^2 mod p: the smallest unit u with that square}, the squares in
+    # ascending order, by one O(p) scan, and the failing congruence
+    # verdict of p, whose witness holds the squares.  Every caller shares
+    # all three and only reads the dict; no caller can edit the others.
+    roots = {0: 0} if p == 1 else {}
     for u in range(1, p):
         if gcd(u, p) == 1:
             roots.setdefault(u * u % p, u)
-    return roots, tuple(sorted(roots))
+    squares = tuple(sorted(roots))
+    return roots, squares, _new(ObstructionVerdict, (
+        "congruence", False, Witness(unit_squares=squares)))
 
 
 def unit_squares_mod(p):
@@ -160,24 +174,24 @@ def linking_congruence(p, q, q_prime):
 def congruence_verdict(p, q, q_prime, q_inverse, q_prime_inverse):
     """linking_congruence from q^-1 and q'^-1 mod p.  The witness is the
     smallest root of q / q' (or the inverse of that of q' / q) on a
-    residue-ordered side, so swapping q and q' inverts it.  A failing
-    witness holds p's one shared tuple of unit squares."""
-    roots, squares = _unit_squares(p)
+    residue-ordered side, so swapping q and q' inverts it.  Every failing
+    congruence of p is one shared verdict, whose witness holds the tuple
+    of unit squares."""
+    roots, _, failed = _unit_squares(p)
     if q % p <= q_prime % p:
         u = roots.get(q * q_prime_inverse % p)
     else:
         v = roots.get(q_prime * q_inverse % p)
         u = None if v is None else pow(v, -1, p)
     if u is not None:
-        return _new(ObstructionVerdict, ("congruence", True, {"unit": u}))
-    return _new(ObstructionVerdict, ("congruence", False,
-                                     {"unit_squares": squares}))
+        return _new(ObstructionVerdict, ("congruence", True, Witness(unit=u)))
+    return failed
 
 
 def dedekind_verdict(t_q, t_q_prime, s_q, s_q_prime):
     """cosmetic_dedekind_obstruction from T = 12 p s and s's text."""
     return _new(ObstructionVerdict, ("dedekind", t_q == t_q_prime,
-                                     {"s_q": s_q, "s_q_prime": s_q_prime}))
+                                     Witness(s_q=s_q, s_q_prime=s_q_prime)))
 
 
 def reason(p, q, q_prime, verdict):
@@ -233,7 +247,7 @@ def parity_verdict(q, q_prime, g, h):
     one shared verdict, a failure has an empty witness of its own."""
     if g == h == 1 and 0 not in (q, q_prime):
         return _PARITY_PASSED
-    return _new(ObstructionVerdict, ("parity", False, {}))
+    return _new(ObstructionVerdict, ("parity", False, Witness()))
 
 
 def parity_filter(p, q, q_prime):

@@ -6,9 +6,11 @@ cosets of the unit squares from one scan of the units of p.  They read
 none of the engine's tables or caches, and this module never imports the
 engine.  The oracles read q only through q mod p, so within one verify
 pass they are memoized per residue; the memo is cleared whenever p
-changes.  A witness holds numbers only: a reason text is rendered by the
-report and never stored, so a stored "reason" key is an extra key.  The
-CLI exits 2 on a mismatch.
+changes.  A trail object of read-only Witness witnesses is checked once
+per class (q mod p, gap, whether 0 is a slope), p and surviving flag; a
+plain-dict trail is checked per pair.  A witness holds numbers only: a
+reason text is rendered by the report and never stored, so a stored
+"reason" key is an extra key.  The CLI exits 2 on a mismatch.
 """
 
 from math import gcd
@@ -19,6 +21,8 @@ from .obstructions import (
     EXCEPTIONAL_DISTANCE_BOUND,
     FILTER_ORDER,
     SELECTABLE_FILTERS,
+    ObstructionVerdict,
+    Witness,
     _normalize_filters,
 )
 
@@ -86,26 +90,25 @@ def _trail_shape(chosen, coprime):
             if name in chosen or name == "parity"]
 
 
-def _verify_one(record, shapes, memo):
+def _verify_one(record, key, shapes, memo):
     # Against the oracles' residue facts; _mismatch runs only to raise.
+    # `key` is (q mod p, gap, whether 0 is a slope, surviving).  True if
+    # the trail is a tuple of verdicts, each with a Witness or no witness.
     p, q, q_prime, verdicts, surviving = record
-    if not (type(p) is type(q) is type(q_prime) is int and 0 < p
-            and q < q_prime):
-        raise CrossCheckError("not a pair p/q, p/q' with integers p >= 1 "
-                              "and q < q'")
-    r, r_prime = q % p, q_prime % p
+    (r, gap, meridian, _), r_prime = key, q_prime % p
     g, s_q, label = memo.get(r) or _oracle_facts(memo, r, p, shapes)
     h, s_q_prime, label_prime = (memo.get(r_prime)
                                  or _oracle_facts(memo, r_prime, p, shapes))
     # Both p/q and p/q' primitive, and neither the meridian 1/0.
-    coprime = 0 not in (q, q_prime) and g == h == 1
+    coprime = not meridian and g == h == 1
     names = [v.filter_name for v in verdicts]
     expected_names = (_trail_shape(names, coprime) if shapes is None
                       else shapes[coprime])
     if names != expected_names:
         raise CrossCheckError(f"trail has filters {names}, expected "
                               f"{expected_names}")
-    delta, all_passed = p * (q_prime - q), True
+    delta, all_passed = p * gap, True
+    sealed = type(verdicts) is tuple
     for v in verdicts:
         name, passed, w = v
         want = (delta <= EXCEPTIONAL_DISTANCE_BOUND if name == "distance"
@@ -115,18 +118,21 @@ def _verify_one(record, shapes, memo):
         if passed is not want:
             _mismatch(v, want, {})
         all_passed = all_passed and want
+        read_only = type(w) is Witness
+        mapping = read_only or type(w) is dict
+        sealed &= (read_only or w is None) and type(v) is ObstructionVerdict
         # A witness holds exactly its filter's fields, and no text.
         if name == "distance":
-            if (type(w) is not dict or w.get("delta") != delta
+            if (not mapping or w.get("delta") != delta
                     or type(w["delta"]) is not int or len(w) != 1):
                 _mismatch(v, want, {"delta": delta})
         elif name == "dedekind":
-            if (type(w) is not dict or w.get("s_q") != s_q
+            if (not mapping or w.get("s_q") != s_q
                     or w.get("s_q_prime") != s_q_prime or len(w) != 2):
                 _mismatch(v, want, {"s_q": s_q, "s_q_prime": s_q_prime})
         elif name == "congruence" and not want:
             squares = memo["cosets"][0]
-            if (type(w) is not dict or w.get("unit_squares") != squares
+            if (not mapping or w.get("unit_squares") != squares
                     or len(w) != 1):
                 _mismatch(v, want, {"unit_squares": squares})
             first = w["unit_squares"][0]  # equal tuples: True == 1 slips by
@@ -134,7 +140,7 @@ def _verify_one(record, shapes, memo):
                 raise CrossCheckError("congruence witness unit square "
                                       f"{first!r} is not an integer")
         elif name == "congruence":
-            if type(w) is not dict or "unit" not in w:
+            if not mapping or "unit" not in w:
                 raise CrossCheckError("congruence witness has no 'unit'")
             u = w["unit"]
             if type(u) is not int:
@@ -146,13 +152,14 @@ def _verify_one(record, shapes, memo):
                                       f"not satisfy q = q' u^2 (mod {p})")
             if len(w) != 1:
                 _mismatch(v, want, {"unit": u})
-        elif w or not (want or type(w) is dict):  # parity: {} or no witness
+        elif w or not (want or mapping):  # parity: {} or no witness
             _mismatch(v, want, {})
     if surviving is not all_passed:
         raise CrossCheckError(
             "surviving flag is inconsistent with the trail"
             if type(surviving) is bool
             else f"surviving flag {surviving!r} is not a boolean")
+    return sealed
 
 
 def _verified(records, kind, filters):
@@ -162,17 +169,25 @@ def _verified(records, kind, filters):
     shapes = None if filters is None else {
         coprime: _trail_shape(filters, coprime) for coprime in (False, True)
     }
-    memo, memo_p = {}, None
+    # A trail no one can edit, checked in full for a class and flag, needs
+    # no second check; `trails` holds it, so no other object takes its id.
+    memo, trails, memo_p = {}, {}, None
     for record in records:
-        if record.p != memo_p:
-            memo.clear()
-            memo_p = record.p
+        p, q, q_prime, verdicts, surviving = record
+        if p != memo_p:
+            memo, trails, memo_p = {}, {}, p
         try:
-            _verify_one(record, shapes, memo)
+            if not (type(p) is type(q) is type(q_prime) is int and 0 < p
+                    and q < q_prime):
+                raise CrossCheckError("not a pair p/q, p/q' with integers "
+                                      "p >= 1 and q < q'")
+            key = q % p, q_prime - q, 0 in (q, q_prime), surviving
+            if type(surviving) is not bool or trails.get(key) is not verdicts:
+                if _verify_one(record, key, shapes, memo):
+                    trails[key] = verdicts
         except CrossCheckError as exc:
             raise CrossCheckError(
-                f"{kind} p={record.p} q={record.q} q'={record.q_prime}: {exc}"
-            ) from None
+                f"{kind} p={p} q={q} q'={q_prime}: {exc}") from None
         yield record
 
 
@@ -183,7 +198,9 @@ def verify_pairs(pairs, *, filters=None):
     p, each unit's coset of the unit squares (q = q' u^2 for a unit u
     exactly when q and q' share a coset), apart from the residue table,
     reciprocity and square roots the engine ran with.  In one call each
-    residue's gcd, direct sum and coset are built once.  A record must be
+    residue's gcd, direct sum and coset are built once, and each trail
+    object of read-only Witness witnesses is checked once per class and
+    p; a plain-dict trail is checked per pair.  A record must be
     a pair p/q, p/q' of integers with p >= 1 and q < q'.  Every pass/fail
     and surviving flag is recomputed, and so are the witness's delta,
     Dedekind values, congruence unit and unit squares, each of its type

@@ -11,11 +11,11 @@ and markdown rows share one cell table, which joins a row's filter and
 surviving cells once per pass/fail pattern; a CSV row quotes only its
 detail.  A sweep renders one row template per residue class: the pairs
 of a class (p, q mod p, gap, whether 0 is a slope) that share a trail
-object differ only in q and q', so the class's first row is rendered
-directly, its second builds the template (reasons from reason_template,
-with slots for q and q'), and each later row fills in q and q'.  JSON is
-written field by field with one encoder, a list from a generator item
-by item, in the bytes of json.dumps(..., indent=2).
+object differ only in q and q', so the class's first two rows are
+rendered directly, its third builds the template (reasons from
+reason_template, with slots for q and q'), and each later row fills in
+q and q'.  JSON is written field by field with one encoder, a list from
+a generator item by item, in the bytes of json.dumps(..., indent=2).
 """
 
 import io
@@ -230,14 +230,17 @@ def _sweep_rows(records, fmt, cells, tally):
         key = (q % p, q_prime - q, 0 in (q, q_prime), id(verdicts), surviving)
         entry = memo.get(key)
         if entry is None:  # the class's first row, rendered as it is
-            memo[key] = [verdicts, None]
-            yield _sweep_row(fmt, p, q, q_prime, verdicts,
-                             cells(verdicts, surviving), False)
+            memo[key] = [verdicts, False]
+        elif entry[1] is False:  # its second too: a class of two needs none
+            entry[1] = True
+        else:
+            if entry[1] is True:  # its third builds the template of the rest
+                entry[1] = _sweep_row(fmt, p, q, q_prime, verdicts,
+                                      cells(verdicts, surviving), True).format
+            yield entry[1](q, q_prime)
             continue
-        if entry[1] is None:  # its second builds the template of the rest
-            entry[1] = _sweep_row(fmt, p, q, q_prime, verdicts,
-                                  cells(verdicts, surviving), True).format
-        yield entry[1](q, q_prime)
+        yield _sweep_row(fmt, p, q, q_prime, verdicts,
+                         cells(verdicts, surviving), False)
 
 
 def _sweep_fields(result, tally):

@@ -227,9 +227,15 @@ def _drop_order(filling):
     (lambda data: _drop_order(data["records"][5]["known_fillings"][0]),
      "M6: lens filling 'M6(infinity) = L(9,2)' must record order equal to "
      "the first lens parameter"),
+    (lambda data: data["records"][7]["known_fillings"][0].update(slope=""),
+     "M8: known filling 0 slope: invalid literal for int() with base 10: "
+     "''"),
+    (lambda data: data["records"][7]["known_fillings"][0].update(
+        slope="0/0"),
+     "M8: known filling 0 slope: 0/0 is not a slope"),
 ], ids=["filling-slope", "record-id", "slope-type", "betti-type",
         "coefficients-type", "fixed-slope-type", "kind-type", "lens-type",
-        "lens-empty", "lens-no-order"])
+        "lens-empty", "lens-no-order", "slope-empty", "slope-zero"])
 def test_load_names_a_missing_record_or_filling_key(tmp_path, capsys, edit,
                                                      message):
     data = _census_data()
@@ -239,7 +245,7 @@ def test_load_names_a_missing_record_or_filling_key(tmp_path, capsys, edit,
         load_census(path)
     assert str(info.value) == message
     assert main(["replicate-theorem", "--census-file", str(path)]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("data, message", [

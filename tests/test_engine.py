@@ -2,6 +2,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 from itertools import islice
 from math import gcd
 
@@ -28,6 +29,7 @@ from cosmetic.invariants import cosmetic_dedekind_obstruction
 from cosmetic.obstructions import (
     GeometryClass,
     ObstructionVerdict,
+    Witness,
     linking_congruence,
     parity_filter,
     reason,
@@ -397,12 +399,15 @@ def _mutants(record):
 ], ids=["p1-8-all-filters", "p131-congruence-dedekind",
         "p120-congruence-dedekind"])
 def test_verify_rejects_every_single_point_corruption(sweep):
+    # Alone, and right after its good record, so that the mutant meets
+    # the oracle with its class's trail already checked.
     result = sweep()
     assert verify_pairs(result.pairs, filters=result.filters)
     for record in result.pairs:
         for mutant in _mutants(record):
-            with pytest.raises(CrossCheckError):
-                verify_pairs([mutant], filters=result.filters)
+            for records in ([mutant], [record, mutant]):
+                with pytest.raises(CrossCheckError):
+                    verify_pairs(records, filters=result.filters)
 
 
 def test_verify_memoizes_oracles_per_residue(monkeypatch):
@@ -623,6 +628,73 @@ def test_sweep_evaluates_each_class_once_per_sweep(monkeypatch):
     assert len(pairs) == 8 * (1200 * 8 - 36)
     assert len(calls) == len(set(calls))
     assert len(calls) <= sum(8 * p for p in range(1, 9)) == 288
+
+
+def test_verify_checks_each_class_once_per_sweep(monkeypatch):
+    calls = []
+
+    def counted(record, key, shapes, memo):
+        calls.append((record.p, *key[:3]))
+        return check(record, key, shapes, memo)
+
+    check = oracle._verify_one
+    monkeypatch.setattr(oracle, "_verify_one", counted)
+    sweep = enumerate_pairs(range(1, 9), range(50000, 51200))
+    assert verify_pairs(sweep, filters="all") == 8 * (1200 * 8 - 36)
+    assert len(calls) == len(set(calls))
+    assert len(calls) <= sum(8 * p for p in range(1, 9)) == 288
+
+
+class _ListVerdict(list):
+    # A verdict that can be edited in place; no filter builds one.
+    filter_name = property(lambda self: self[0])
+
+
+def _plain_dict_witness(trail):
+    plain = dict(trail[3].witness)
+    return (*trail[:3], trail[3]._replace(witness=plain)), partial(
+        plain.__setitem__, "s_q_prime", "1/2")
+
+
+def _list_verdict(trail):
+    verdict = _ListVerdict(trail[3])
+    return (*trail[:3], verdict), partial(
+        verdict.__setitem__, 2, Witness(verdict[2], s_q_prime="1/2"))
+
+
+def _list_trail(trail):
+    trail = list(trail)
+    wrong = Witness(trail[3].witness, s_q_prime="1/2")
+    return trail, partial(trail.__setitem__, 3,
+                          trail[3]._replace(witness=wrong))
+
+
+@pytest.mark.parametrize("editable", [
+    _plain_dict_witness, _list_verdict, _list_trail,
+], ids=["plain-dict-witness", "list-verdict", "list-trail"])
+def test_verify_rechecks_each_pair_of_an_editable_trail(editable):
+    # A hand-built trail that can be edited in place between two records
+    # of its class gets each of its records checked in full.
+    (pair,) = run_enumeration([7], [1, 2]).pairs
+    trail, edit = editable(pair.verdicts)
+    checked = []
+
+    def stream():
+        yield pair._replace(verdicts=trail)
+        checked.append(1)
+        edit()
+        yield pair._replace(q=8, q_prime=9, verdicts=trail)
+        checked.append(8)
+
+    with pytest.raises(CrossCheckError, match=(
+            r"^pair p=7 q=8 q'=9: dedekind witness s_q_prime is '1/2' but "
+            r"the oracle gives '1/14'$")):
+        verify_pairs(stream(), filters="all")
+    assert checked == [1]
+    # The engine's own trail is read-only: no edit can reach it.
+    assert verify_pairs([pair, pair._replace(q=8, q_prime=9)]) == 2
+    with pytest.raises(TypeError):
+        pair.verdicts[3].witness["s_q_prime"] = "1/2"
 
 
 def test_sweep_builds_each_residue_fact_once_per_p(monkeypatch):

@@ -1,12 +1,17 @@
+import copy
+import json
+import pickle
 from math import gcd
 
 import pytest
 
 from cosmetic.engine import run_enumeration
+from cosmetic.invariants import cosmetic_dedekind_obstruction
 from cosmetic.obstructions import (
     EXCEPTIONAL_DISTANCE_BOUND,
     GeometryClass,
     ObstructionVerdict,
+    Witness,
     distance_cap,
     linking_congruence,
     parity_filter,
@@ -221,6 +226,75 @@ def test_unit_squares_witness_cannot_be_edited():
     again = run_enumeration([7], range(1, 20), filters=["congruence"])
     assert again == first and squares(again) == (1, 2, 4)
     assert linking_congruence(7, 1, 3).witness["unit_squares"] == (1, 2, 4)
+
+
+def _assign(w):
+    w["unit"] = 1
+
+
+def _delete(w):
+    del w["unit"]
+
+
+def _merge(w):
+    w |= {"unit": 1}
+
+
+@pytest.mark.parametrize("edit", [
+    _assign, _delete, _merge, lambda w: w.clear(), lambda w: w.pop("unit"),
+    lambda w: w.pop("other", None), lambda w: w.popitem(),
+    lambda w: w.setdefault("unit", 1), lambda w: w.setdefault("other"),
+    lambda w: w.update(unit=1), lambda w: w.update(),
+], ids=["setitem", "delitem", "ior", "clear", "pop", "pop-default",
+        "popitem", "setdefault", "setdefault-new", "update", "update-empty"])
+def test_witness_refuses_every_edit(edit):
+    # The pairs of a residue class share one trail, so an edit through one
+    # record's witness would reach every pair of the class.
+    (pair,) = run_enumeration([7], [1, 2]).pairs
+    witness = pair.verdicts[2].witness
+    assert type(witness) is Witness and witness == {"unit": 2}
+    with pytest.raises(TypeError, match="^a verdict witness is read-only$"):
+        edit(witness)
+    assert witness == {"unit": 2}
+    assert run_enumeration([7], [1, 2]).pairs == (pair,)
+
+
+def _witnesses(records):
+    return [v.witness for r in records for v in r.verdicts
+            if v.witness is not None]
+
+
+def test_witness_prints_and_compares_as_the_dict_it_holds():
+    records = run_enumeration(range(1, 9), range(-3, 12)).pairs
+    one_shot = [linking_congruence(7, 1, 2), linking_congruence(7, 1, 3),
+                cosmetic_dedekind_obstruction(7, 1, 2), parity_filter(6, 2, 3)]
+    witnesses = _witnesses(records) + [v.witness for v in one_shot]
+    assert {type(w) for w in witnesses} == {Witness}
+    assert {tuple(w) for w in witnesses} == {
+        ("delta",), (), ("unit",), ("unit_squares",), ("s_q", "s_q_prime")}
+    for w in witnesses:
+        plain = dict(w)
+        assert w == plain and plain == w and not w != plain
+        assert repr(w) == repr(plain) and str(w) == str(plain)
+        for options in ({}, {"indent": 2}, {"sort_keys": True}):
+            assert json.dumps(w, **options) == json.dumps(plain, **options)
+    assert repr(one_shot[0]) == ("ObstructionVerdict(filter_name="
+                                 "'congruence', passed=True, witness="
+                                 "{'unit': 2})")
+
+
+def test_records_pickle_and_copy_with_read_only_witnesses():
+    result = run_enumeration(range(1, 9), range(1, 25))
+    clones = [copy.deepcopy(result.pairs), copy.copy(result.pairs)] + [
+        pickle.loads(pickle.dumps(result.pairs, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for clone in clones:
+        assert clone == result.pairs
+        witnesses = _witnesses(clone)
+        assert witnesses and {type(w) for w in witnesses} == {Witness}
+        with pytest.raises(TypeError):
+            witnesses[0].clear()
+    assert copy.copy(Witness(unit=2)) == {"unit": 2}
 
 
 def test_reason_template_fills_in_as_reason_renders():

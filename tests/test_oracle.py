@@ -81,3 +81,11 @@ def test_oracle_rejects_bad_coordinates_as_a_cross_check(field, value):
     record = _trail(5, 1, 2)._replace(**{field: value})
     with pytest.raises(CrossCheckError, match="not a pair p/q, p/q'"):
         verify_pairs([record])
+
+
+def test_oracle_rejects_a_flag_it_cannot_hash():
+    record = _trail(5, 1, 2)._replace(surviving=[False])
+    with pytest.raises(CrossCheckError, match=(
+            r"^pair p=5 q=1 q'=2: surviving flag \[False\] is not a "
+            r"boolean$")):
+        verify_pairs([record, record])

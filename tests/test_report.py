@@ -447,7 +447,8 @@ def test_rows_from_a_shared_trail_match_rows_rendered_alone(fmt,
     # object serves classes whose gcds differ (2 and 3, 3 and 4, only 4,
     # only 6), two gaps and two values of p, and comes back to p = 12
     # after p = 6; another trail's witnesses hold braces; most classes
-    # have three rows or more, so their later rows come from templates.
+    # have three rows or more, so their rows from the third on come from
+    # templates.
     parity = (ObstructionVerdict("distance", True, {"delta": 12}),
               ObstructionVerdict("parity", False, {}))
     braces = (ObstructionVerdict("distance", False, {"delta": "{"}),
@@ -481,8 +482,9 @@ def test_rows_from_a_shared_trail_match_rows_rendered_alone(fmt,
     monkeypatch.setattr(report, "reason", counted)
     got = _rows(result, fmt)
     if fmt == "csv":
-        # One reason per class, not per pair: the later rows are filled in.
-        assert len(calls) == (4 + 3 + 2 + 1) + 2 * 3 + 2
+        # Reasons for a class's first two rows only, not per pair: its
+        # later rows are filled in.
+        assert len(calls) == 2 * ((4 + 3 + 2 + 1) + 2 * 3 + 2)
     assert got == _rows_one_by_one(result, fmt)
     if fmt == "csv":
         assert got[10] == ("12,-32,-31,1,12,pass,fail,skipped,skipped,no,"
@@ -512,18 +514,19 @@ def _count_texts(monkeypatch):
     return calls["reason"], calls["reason_template"]
 
 
-def test_csv_sweep_renders_each_class_reason_once(monkeypatch):
+def test_csv_sweep_renders_each_class_reason_at_most_twice(monkeypatch):
     # The counterpart of test_sweep_evaluates_each_class_once_per_sweep:
-    # reason() runs once per failing verdict of a class, not once per pair,
-    # and so does reason_template(), for the class's second pair.
+    # reason() runs per failing verdict of a class for its first two rows,
+    # not once per pair, and reason_template() once, for its third.
     reasons, templates = _count_texts(monkeypatch)
     text = emit_report(stream_enumeration(range(1, 9), range(50000, 51200)),
                        "csv")
     assert text.count("\n") == 1 + 8 * (1200 * 8 - 36)
     assert hashlib.sha256(text.encode()).hexdigest().startswith("0de32a9e")
-    assert reasons and set(reasons.values()) == {1}
+    assert reasons and set(reasons.values()) == {2}
     assert len(reasons) <= 2 * sum(8 * p for p in range(1, 9))
-    assert templates == reasons
+    assert set(templates) == set(reasons)
+    assert set(templates.values()) == {1}
 
 
 def test_a_class_of_one_pair_builds_no_template(monkeypatch):
@@ -533,6 +536,18 @@ def test_a_class_of_one_pair_builds_no_template(monkeypatch):
     emit_report(sweep, "csv")
     assert sum(reasons.values()) >= len(sweep.pairs) == 100 * 8 - 36
     assert not templates
+
+
+def test_a_class_of_two_pairs_builds_no_template(monkeypatch):
+    # At p = 179 a class of q 1..300 holds q and q + 179 at most, and most
+    # classes hold both; the second row is rendered as the first was.
+    reasons, templates = _count_texts(monkeypatch)
+    sweep = run_enumeration([179], range(1, 301), ["congruence", "dedekind"])
+    text = emit_report(sweep, "csv")
+    assert set(reasons.values()) == {1, 2}
+    assert not templates
+    rows = text.splitlines()[1:]
+    assert rows == _rows_one_by_one(sweep, "csv")
 
 
 def _corpus_q_set(shape, rng):
