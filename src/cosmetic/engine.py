@@ -26,9 +26,9 @@ from .dedekind import scaled_dedekind_sum, sum_text
 from .obstructions import (
     EXCEPTIONAL_DISTANCE_BOUND,
     FILTER_ORDER,
+    DeltaWitness,
     GeometryClass,
     ObstructionVerdict,
-    Witness,
     _normalize_filters,
     congruence_verdict,
     dedekind_verdict,
@@ -123,6 +123,8 @@ class EnumerationResult(
 
     @property
     def surviving(self):
+        if iter(self.pairs) is self.pairs:
+            raise TypeError("a stream is read once: use run_enumeration")
         return tuple(pv for pv in self.pairs if pv.surviving)
 
 
@@ -154,7 +156,7 @@ def _evaluate(p, q, q_prime, filters, residues):
         delta = p * (q_prime - q)
         verdicts.append(ObstructionVerdict(
             "distance", delta <= EXCEPTIONAL_DISTANCE_BOUND,
-            Witness(delta=delta)))
+            tuple.__new__(DeltaWitness, (delta,))))
     g, t_q, s_q, q_inverse = residues[q % p]
     h, t_q_prime, s_q_prime, q_prime_inverse = residues[q_prime % p]
     parity = parity_verdict(q, q_prime, g, h)

@@ -17,6 +17,7 @@ replay the conclusion by hand; `reason` renders a failing one as text.
 """
 
 from collections import namedtuple
+from collections.abc import Mapping
 from enum import Enum
 from functools import lru_cache
 from math import gcd
@@ -79,29 +80,57 @@ def distance_cap(geometry):
     return CASES[geometry][0]
 
 
-class Witness(dict):
-    """A verdict's witness: a dict whose edits raise TypeError, so the
-    pairs of a residue class can share it.  Pickle and copy keep it."""
+_new = tuple.__new__  # skips __new__ where a builder's values need no check
+
+
+class Witness(Mapping, tuple):
+    """A verdict's witness, which the pairs of a residue class share: a
+    read-only mapping of numbers in a tuple, one subclass per shape (its
+    keys).  Witness(...) takes dict's arguments and picks the shape."""
 
     __slots__ = ()
+    __hash__, __len__, __ne__ = None, tuple.__len__, object.__ne__  # a dict's
+    __class__ = property(type)  # no assignment gives it another shape
 
-    def _read_only(self, *args, **kwargs):
-        raise TypeError("a verdict witness is read-only")
+    def __new__(cls, *args, **kwargs):
+        fields = dict(*args, **kwargs)
+        shape = _SHAPES[frozenset(fields)]  # a KeyError: no such shape
+        return _new(shape, map(fields.get, shape._keys))
 
-    __setitem__ = __delitem__ = __ior__ = _read_only
-    clear = pop = popitem = setdefault = update = _read_only
-    __reduce__ = lambda self: (Witness, (dict(self),))  # pickle and copy
+    __getitem__ = lambda self, key: getattr(self, self._keys[key])
+    __iter__ = lambda self: iter(self._keys)
+    _asdict = lambda self: dict(zip(self._keys, tuple.__iter__(self)))
+    __eq__ = lambda self, other: self._asdict() == other
+    __repr__ = lambda self: repr(self._asdict())
+    __reduce__ = lambda self: (Witness, (self._asdict(),))  # pickle, copy
+
+
+def _shape(name, keys):
+    # The Witness with these keys, read by their namedtuple's C getters.
+    row = namedtuple(name, keys)  # held: collecting it would empty vars(row)
+    return type(Witness)(name, (Witness,), {
+        "__slots__": (), "__module__": __name__,
+        "_keys": dict(zip(keys, keys)),  # a KeyError for any other key
+        **{key: getattr(row, key) for key in keys}})
+
+
+_SHAPES = {frozenset(keys): _shape(name, keys) for name, keys in (
+    ("DeltaWitness", ("delta",)), ("UnitWitness", ("unit",)),
+    ("UnitSquaresWitness", ("unit_squares",)),
+    ("DedekindWitness", ("s_q", "s_q_prime")), ("EmptyWitness", ()))}
+(DeltaWitness, UnitWitness, UnitSquaresWitness, DedekindWitness,
+ EmptyWitness) = _SHAPES.values()
 
 
 class ObstructionVerdict(
         namedtuple("ObstructionVerdict", "filter_name passed witness")):
     """Outcome of one filter on one candidate pair.
 
-    `witness` (a read-only Witness from the filters) holds the numbers
-    that replay the outcome: the slope distance, the two Dedekind sums,
-    the unit squares of a failing congruence, the unit u with q = q' * u^2
-    (mod p) of a passing one.  A failing verdict always carries one (a
-    failing parity's is empty); its text is not stored: `reason` renders it.
+    `witness` (a Witness of its filter's shape, from the filters) holds the
+    numbers that replay the outcome: the slope distance, the two Dedekind
+    sums, the unit squares of a failing congruence, the unit u with
+    q = q' * u^2 (mod p) of a passing one.  A failing verdict always
+    carries one (a failing parity's is empty); `reason` renders its text.
     """
 
     __slots__ = ()
@@ -111,9 +140,6 @@ class ObstructionVerdict(
         if not passed and witness is None:
             raise ValueError("a failing verdict must carry a witness")
         return tuple.__new__(cls, (filter_name, passed, witness))
-
-
-_new = tuple.__new__  # for builders whose failing verdicts carry witnesses
 
 
 # Sweeps visit p in sorted order, so a few entries suffice and memory
@@ -130,7 +156,7 @@ def _unit_squares(p):
             roots.setdefault(u * u % p, u)
     squares = tuple(sorted(roots))
     return roots, squares, _new(ObstructionVerdict, (
-        "congruence", False, Witness(unit_squares=squares)))
+        "congruence", False, _new(UnitSquaresWitness, (squares,))))
 
 
 def unit_squares_mod(p):
@@ -183,15 +209,14 @@ def congruence_verdict(p, q, q_prime, q_inverse, q_prime_inverse):
     else:
         v = roots.get(q_prime * q_inverse % p)
         u = None if v is None else pow(v, -1, p)
-    if u is not None:
-        return _new(ObstructionVerdict, ("congruence", True, Witness(unit=u)))
-    return failed
+    return failed if u is None else _new(ObstructionVerdict, (
+        "congruence", True, _new(UnitWitness, (u,))))
 
 
 def dedekind_verdict(t_q, t_q_prime, s_q, s_q_prime):
     """cosmetic_dedekind_obstruction from T = 12 p s and s's text."""
     return _new(ObstructionVerdict, ("dedekind", t_q == t_q_prime,
-                                     Witness(s_q=s_q, s_q_prime=s_q_prime)))
+                                     _new(DedekindWitness, (s_q, s_q_prime))))
 
 
 def reason(p, q, q_prime, verdict):
@@ -240,14 +265,14 @@ def _reason(p, q, q_prime, verdict, x, y):  # x, y are shown for q, q'
 
 
 _PARITY_PASSED = ObstructionVerdict("parity", True)
+_PARITY_FAILED = ObstructionVerdict("parity", False, Witness())
 
 
 def parity_verdict(q, q_prime, g, h):
-    """parity_filter given g = gcd(q, p) and h = gcd(q', p); a pass is
-    one shared verdict, a failure has an empty witness of its own."""
+    """parity_filter given g = gcd(q, p), h = gcd(q', p): a shared verdict."""
     if g == h == 1 and 0 not in (q, q_prime):
         return _PARITY_PASSED
-    return _new(ObstructionVerdict, ("parity", False, Witness()))
+    return _PARITY_FAILED
 
 
 def parity_filter(p, q, q_prime):

@@ -6,11 +6,10 @@ cosets of the unit squares from one scan of the units of p.  They read
 none of the engine's tables or caches, and this module never imports the
 engine.  The oracles read q only through q mod p, so within one verify
 pass they are memoized per residue; the memo is cleared whenever p
-changes.  A trail object of read-only Witness witnesses is checked once
-per class (q mod p, gap, whether 0 is a slope), p and surviving flag; a
-plain-dict trail is checked per pair.  A witness holds numbers only: a
-reason text is rendered by the report and never stored, so a stored
-"reason" key is an extra key.  The CLI exits 2 on a mismatch.
+changes.  A trail whose witnesses are each None or their filter's
+Witness shape, which no call can edit, is checked once per class (q mod
+p, gap, whether 0 is a slope), p and surviving flag; any other trail,
+per pair.  The CLI exits 2 on a mismatch.
 """
 
 from math import gcd
@@ -18,19 +17,15 @@ from math import gcd
 from . import CrossCheckError
 from .dedekind import direct_numerator
 from .obstructions import (
-    EXCEPTIONAL_DISTANCE_BOUND,
-    FILTER_ORDER,
-    SELECTABLE_FILTERS,
-    ObstructionVerdict,
-    Witness,
-    _normalize_filters,
-)
+    EXCEPTIONAL_DISTANCE_BOUND, FILTER_ORDER, SELECTABLE_FILTERS,
+    DedekindWitness, DeltaWitness, EmptyWitness, ObstructionVerdict,
+    UnitSquaresWitness, UnitWitness, Witness, _normalize_filters)
 
 
 def _mismatch(verdict, want, fields):
-    # Run once an inline check has failed.  Raises for a pass/fail flag
-    # that is not the boolean `want`, then for the first missing or wrong
-    # witness field (of its type: True is not 1), else for any other key.
+    # Run when an inline check fails.  Raises for a flag that is not the
+    # boolean `want`, then for the first missing or wrong witness field (of
+    # its type: True is not 1), then for any other key; else returns False.
     name, passed, w = verdict
     if type(passed) is not bool:
         raise CrossCheckError(f"{name} verdict's passed flag {passed!r} is "
@@ -48,9 +43,10 @@ def _mismatch(verdict, want, fields):
             raise CrossCheckError(f"{name} witness {key} is {got!r} but the "
                                   f"oracle gives {value!r}")
     extra = ([key for key in w if key not in fields]
-             if isinstance(w, dict) else [w])
+             if isinstance(w, (dict, Witness)) else [w])
     if extra:
         raise CrossCheckError(f"{name} witness has an extra key {extra[0]!r}")
+    return False
 
 
 def _coset_labels(p):
@@ -91,9 +87,9 @@ def _trail_shape(chosen, coprime):
 
 
 def _verify_one(record, key, shapes, memo):
-    # Against the oracles' residue facts; _mismatch runs only to raise.
-    # `key` is (q mod p, gap, whether 0 is a slope, surviving).  True if
-    # the trail is a tuple of verdicts, each with a Witness or no witness.
+    # Against the oracles' residue facts.  `key` is (q mod p, gap, whether
+    # 0 is a slope, surviving).  True if the trail is sealed: a tuple of
+    # ObstructionVerdicts whose witnesses are None or their filter's shape.
     p, q, q_prime, verdicts, surviving = record
     (r, gap, meridian, _), r_prime = key, q_prime % p
     g, s_q, label = memo.get(r) or _oracle_facts(memo, r, p, shapes)
@@ -107,8 +103,7 @@ def _verify_one(record, key, shapes, memo):
     if names != expected_names:
         raise CrossCheckError(f"trail has filters {names}, expected "
                               f"{expected_names}")
-    delta, all_passed = p * gap, True
-    sealed = type(verdicts) is tuple
+    delta, all_passed, sealed = p * gap, True, type(verdicts) is tuple
     for v in verdicts:
         name, passed, w = v
         want = (delta <= EXCEPTIONAL_DISTANCE_BOUND if name == "distance"
@@ -118,31 +113,31 @@ def _verify_one(record, key, shapes, memo):
         if passed is not want:
             _mismatch(v, want, {})
         all_passed = all_passed and want
-        read_only = type(w) is Witness
-        mapping = read_only or type(w) is dict
-        sealed &= (read_only or w is None) and type(v) is ObstructionVerdict
+        sealed = sealed and type(v) is ObstructionVerdict
         # A witness holds exactly its filter's fields, and no text.
         if name == "distance":
-            if (not mapping or w.get("delta") != delta
-                    or type(w["delta"]) is not int or len(w) != 1):
-                _mismatch(v, want, {"delta": delta})
+            if (type(w) is not DeltaWitness or w.delta != delta
+                    or type(w.delta) is not int):
+                sealed = _mismatch(v, want, {"delta": delta})
         elif name == "dedekind":
-            if (not mapping or w.get("s_q") != s_q
-                    or w.get("s_q_prime") != s_q_prime or len(w) != 2):
-                _mismatch(v, want, {"s_q": s_q, "s_q_prime": s_q_prime})
+            if (type(w) is not DedekindWitness or w.s_q != s_q
+                    or w.s_q_prime != s_q_prime):
+                sealed = _mismatch(v, want, {"s_q": s_q,
+                                             "s_q_prime": s_q_prime})
         elif name == "congruence" and not want:
             squares = memo["cosets"][0]
-            if (not mapping or w.get("unit_squares") != squares
-                    or len(w) != 1):
-                _mismatch(v, want, {"unit_squares": squares})
+            if type(w) is not UnitSquaresWitness or w.unit_squares != squares:
+                sealed = _mismatch(v, want, {"unit_squares": squares})
             first = w["unit_squares"][0]  # equal tuples: True == 1 slips by
             if type(first) is not int:
                 raise CrossCheckError("congruence witness unit square "
                                       f"{first!r} is not an integer")
         elif name == "congruence":
-            if not mapping or "unit" not in w:
-                raise CrossCheckError("congruence witness has no 'unit'")
-            u = w["unit"]
+            try:
+                u = w.unit if type(w) is UnitWitness else w["unit"]
+            except (KeyError, TypeError):
+                raise CrossCheckError("congruence witness has no 'unit'"
+                                      ) from None
             if type(u) is not int:
                 raise CrossCheckError(f"recorded congruence unit {u!r} is "
                                       "not an integer")
@@ -150,10 +145,10 @@ def _verify_one(record, key, shapes, memo):
                     and (q - q_prime * u * u) % p == 0):
                 raise CrossCheckError(f"recorded congruence unit {u} does "
                                       f"not satisfy q = q' u^2 (mod {p})")
-            if len(w) != 1:
-                _mismatch(v, want, {"unit": u})
-        elif w or not (want or mapping):  # parity: {} or no witness
-            _mismatch(v, want, {})
+            if type(w) is not UnitWitness:
+                sealed = _mismatch(v, want, {"unit": u})
+        elif (w is not None) if want else (type(w) is not EmptyWitness):
+            sealed = _mismatch(v, want, {})  # parity: None or empty
     if surviving is not all_passed:
         raise CrossCheckError(
             "surviving flag is inconsistent with the trail"
@@ -169,8 +164,8 @@ def _verified(records, kind, filters):
     shapes = None if filters is None else {
         coprime: _trail_shape(filters, coprime) for coprime in (False, True)
     }
-    # A trail no one can edit, checked in full for a class and flag, needs
-    # no second check; `trails` holds it, so no other object takes its id.
+    # A sealed trail, which no call can edit, needs one full check per
+    # class and flag; `trails` holds it, so no other object takes its id.
     memo, trails, memo_p = {}, {}, None
     for record in records:
         p, q, q_prime, verdicts, surviving = record
@@ -196,23 +191,20 @@ def verify_pairs(pairs, *, filters=None):
 
     Uses the O(p) direct Dedekind sum and, from one scan of the units of
     p, each unit's coset of the unit squares (q = q' u^2 for a unit u
-    exactly when q and q' share a coset), apart from the residue table,
-    reciprocity and square roots the engine ran with.  In one call each
-    residue's gcd, direct sum and coset are built once, and each trail
-    object of read-only Witness witnesses is checked once per class and
-    p; a plain-dict trail is checked per pair.  A record must be
-    a pair p/q, p/q' of integers with p >= 1 and q < q'.  Every pass/fail
-    and surviving flag is recomputed, and so are the witness's delta,
-    Dedekind values, congruence unit and unit squares, each of its type
-    (a flag is a bool, so 1 is not True; True is not 1; a list is not the
+    exactly when q and q' share a coset), not the engine's residue table,
+    reciprocity or square roots.  A record must be a pair p/q, p/q' of
+    integers with p >= 1 and q < q'.  Every pass/fail and surviving flag
+    is recomputed, and so are the witness's numbers, each of its type (a
+    flag is a bool, so 1 is not True; True is not 1; a list is not the
     tuple of unit squares).  Any other witness key is rejected, a stored
-    "reason" included: reasons are rendered from these numbers
-    (obstructions.reason) and never stored.  A failing parity witness is
-    {}.  With `filters` (as for enumerate_pairs) a trail must hold
-    exactly those filters and parity, in FILTER_ORDER, with congruence
-    and Dedekind absent after a parity failure; without it, any in-order
-    subset that includes parity is accepted.  Raises CrossCheckError on
-    the first disagreement; returns the number of pairs checked.
+    "reason" included: obstructions.reason renders reasons.  A failing
+    parity witness is empty.  With `filters` (as for enumerate_pairs) a
+    trail must hold exactly those filters and parity, in FILTER_ORDER,
+    with congruence and Dedekind absent after a parity failure; without
+    it, any in-order subset that includes parity is accepted.  A trail
+    of Witness shapes is checked once per class and p, any other per
+    pair.  Raises CrossCheckError on the first disagreement; returns the
+    number of pairs checked.
     """
     if filters is not None:
         filters = _normalize_filters(filters)

@@ -40,15 +40,16 @@ def _residue(record):
 
 
 def _witness(r, v):
-    # Schema 1 holds a failing verdict's reason: first in a congruence
-    # witness, last in the others (alone in a parity witness, {}).  A
-    # hand-built parity failure of a coprime pair has none.
+    # A Witness as a dict (json writes a tuple as a list), with a failing
+    # verdict's reason (schema 1) first in a congruence witness and last
+    # in the others; a hand-built parity failure of a coprime pair has none.
     text = None if v.passed else reason(r.p, r.q, r.q_prime, v)
+    w = v.witness._asdict() if hasattr(v.witness, "_asdict") else v.witness
     if text is None:
-        return v.witness
+        return w
     if v.filter_name == "congruence":
-        return {"reason": text, **v.witness}
-    return {**v.witness, "reason": text}
+        return {"reason": text, **w}
+    return {**w, "reason": text}
 
 
 def _record_dicts(records, family):
@@ -70,8 +71,8 @@ def _detail(p, q, q_prime, verdicts, template=False):
     for v in verdicts:
         if not v.passed:
             notes.append(text(p, q, q_prime, v))
-        elif v.filter_name == "congruence" and v.witness["unit"]:
-            notes.append(f"unit {shown(v.witness['unit'])}")
+        elif v.filter_name == "congruence" and (unit := v.witness["unit"]):
+            notes.append(f"unit {shown(unit)}")
     return "; ".join(filter(None, notes))
 
 

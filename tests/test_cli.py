@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +14,7 @@ from importlib import resources
 import pytest
 
 from cosmetic import engine
-from cosmetic.cli import main, parse_range
+from cosmetic.cli import _COMMANDS, main, parse_range
 from cosmetic.engine import (
     CrossCheckError,
     replicate_theorem,
@@ -506,3 +507,89 @@ def test_enumerate_lie_mid_sweep_exits_two(monkeypatch, capsys):
     assert out and out.endswith("\n") and truth.startswith(out)
     rows = list(csv.reader(io.StringIO(out)))[1:]
     assert rows and all(int(row[0]) < 7 for row in rows)
+
+
+# The argv fuzz's token pool, by the arguments each group suits: small
+# integers (none above 10^4), fractions and ranges, good and bad; JSON
+# texts for `casson delta2`; census ids and non-ids; filter names.
+_FUZZ_POOLS = {
+    "int": ["0", "-1", "1", "7", "12"],
+    "fraction": ["3/0", "0/1", "1/0", "2/4", "7", "-1", "x", "", "1e3"],
+    "range": ["5..3", "-2..2", "1..12", "3..9", "7", "0", "1e3", "x", ""],
+    "polynomial": ['{"-1": 1, "0": -3, "1": 1}', '{"0": 1}', '{"0": null}',
+                   '{"1": 1.5}', '{"x": 1}', "[]", "{", ""],
+    "id": ["M8", "M14", "W(-5/2)", "W(2)", "M99", "W(0)", "x", ""],
+    "filters": ["all", "distance", "congruence,dedekind", "parity", "bogus",
+                ""],
+    "file": ["", "x"],
+}
+_FUZZ_POOL_OF = {
+    "slope": "fraction", "framing1": "fraction", "framing2": "fraction",
+    "--lambda-y": "fraction", "--p": "range", "--q": "range",
+    "polynomial": "polynomial", "id": "id", "--filters": "filters",
+    "--census-file": "file",
+}
+_FUZZ_TOKENS = sorted({token for pool in _FUZZ_POOLS.values()
+                       for token in pool})
+
+
+def _fuzz_argv(rng):
+    # A command from the CLI's own table (a group alone now and then).
+    # Each positional is given, each option now and then, with a value
+    # mostly from the argument's pool or choices, else any token; at
+    # times a stray token or another command's option goes in too.
+    commands = [entry for entry in _COMMANDS if entry[2] is not None]
+    words, _, _, arguments = rng.choice(
+        _COMMANDS if rng.random() < 0.05 else commands)
+    options = [name for *_, args in _COMMANDS for name, _ in args
+               if name.startswith("-")]
+
+    def value(name, keywords):
+        pool = keywords.get("choices") or _FUZZ_POOLS[
+            "int" if keywords.get("type") is int
+            else _FUZZ_POOL_OF.get(name, "fraction")]
+        return rng.choice(_FUZZ_TOKENS if rng.random() < 0.1 else pool)
+
+    argv = list(words)
+    for name, keywords in arguments:
+        if not name.startswith("-"):
+            if rng.random() < 0.95:
+                argv.append(value(name, keywords))
+        elif not (keywords.get("required") or rng.random() < 0.4):
+            continue
+        elif keywords.get("action") == "store_true":
+            argv.append(name)
+        elif rng.random() < 0.3:
+            argv.append(f"{name}={value(name, keywords)}")
+        else:
+            argv += [name, value(name, keywords)]
+    if rng.random() < 0.1:
+        stray = rng.choice(_FUZZ_TOKENS + options)
+        argv.insert(rng.randrange(len(argv) + 1), stray)
+    return argv
+
+
+def test_seeded_argv_keeps_the_exit_contract():
+    # Exit 0, 1 or 2 on any argv, never an exception.  An exit 1 that is
+    # not an argparse usage error prints one `error:` line, and nothing on
+    # stdout.  Each argv costs 1 to 1.6 ms, most of it in building the
+    # argparse parser, so 1,000 keep this under 2 s.
+    rng = random.Random(32)
+    codes = []
+    for _ in range(1000):
+        argv = _fuzz_argv(rng)
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv)
+        except (Exception, SystemExit) as exc:
+            pytest.fail(f"{argv!r} raised {exc!r}")
+        assert code in (0, 1, 2), argv
+        codes.append(code)
+        if code == 1 and not err.getvalue().startswith("usage:"):
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), argv
+            assert out.getvalue() == "", argv
+    # The draw reaches the handlers, and both of their outcomes.
+    assert codes.count(0) > 200 and codes.count(1) > 200

@@ -697,6 +697,37 @@ def test_verify_rechecks_each_pair_of_an_editable_trail(editable):
         pair.verdicts[3].witness["s_q_prime"] = "1/2"
 
 
+def test_no_call_edits_a_trail_the_oracle_has_checked():
+    # The p = 7 pairs (1, 2) and (8, 9) share one engine trail, which the
+    # oracle checks once.  Between the two records, dict's own methods and
+    # object.__setattr__ cannot reach its Dedekind witness, a tuple.
+    (pair,) = run_enumeration([7], [1, 2]).pairs
+    witness = pair.verdicts[3].witness
+    before = dict(witness)
+
+    def stream():
+        yield pair
+        with pytest.raises(TypeError):
+            dict.__setitem__(witness, "s_q_prime", "1/2")
+        with pytest.raises(AttributeError):
+            object.__setattr__(witness, "s_q_prime", "1/2")
+        witness.__init__(s_q_prime="1/2")  # object's: a no-op
+        yield pair._replace(q=8, q_prime=9)
+
+    assert verify_pairs(stream(), filters="all") == 2
+    assert witness == before and witness.s_q_prime == before["s_q_prime"]
+
+
+def test_surviving_refuses_to_drain_a_stream():
+    streamed = stream_enumeration([5], range(1, 30))
+    with pytest.raises(TypeError, match="run_enumeration"):
+        streamed.surviving
+    assert emit_report(streamed, "csv").count("\n") == 197  # still whole
+    kept = run_enumeration([5], range(1, 30))
+    assert len(kept.surviving) == 6 and kept.surviving == kept.surviving
+    assert emit_report(kept, "csv").count("\n") == 197
+
+
 def test_sweep_builds_each_residue_fact_once_per_p(monkeypatch):
     calls = []
 

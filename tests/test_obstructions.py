@@ -1,16 +1,23 @@
 import copy
+import gc
 import json
 import pickle
 from math import gcd
 
 import pytest
 
+from cosmetic import obstructions
 from cosmetic.engine import run_enumeration
 from cosmetic.invariants import cosmetic_dedekind_obstruction
 from cosmetic.obstructions import (
     EXCEPTIONAL_DISTANCE_BOUND,
+    DedekindWitness,
+    DeltaWitness,
+    EmptyWitness,
     GeometryClass,
     ObstructionVerdict,
+    UnitSquaresWitness,
+    UnitWitness,
     Witness,
     distance_cap,
     linking_congruence,
@@ -240,22 +247,62 @@ def _merge(w):
     w |= {"unit": 1}
 
 
-@pytest.mark.parametrize("edit", [
-    _assign, _delete, _merge, lambda w: w.clear(), lambda w: w.pop("unit"),
-    lambda w: w.pop("other", None), lambda w: w.popitem(),
-    lambda w: w.setdefault("unit", 1), lambda w: w.setdefault("other"),
-    lambda w: w.update(unit=1), lambda w: w.update(),
-], ids=["setitem", "delitem", "ior", "clear", "pop", "pop-default",
-        "popitem", "setdefault", "setdefault-new", "update", "update-empty"])
-def test_witness_refuses_every_edit(edit):
+def _extend(w):
+    w += (1,)  # binds a new tuple to the name; the witness stays
+
+
+# Each edit route and how it ends: the error that refuses it, or None
+# for a call that runs but changes nothing.
+_EDITS = {
+    "setitem": (_assign, TypeError),
+    "delitem": (_delete, TypeError),
+    "ior": (_merge, TypeError),
+    "clear": (lambda w: w.clear(), AttributeError),
+    "pop": (lambda w: w.pop("unit"), AttributeError),
+    "pop-default": (lambda w: w.pop("other", None), AttributeError),
+    "popitem": (lambda w: w.popitem(), AttributeError),
+    "setdefault": (lambda w: w.setdefault("unit", 1), AttributeError),
+    "setdefault-new": (lambda w: w.setdefault("other"), AttributeError),
+    "update": (lambda w: w.update(unit=1), AttributeError),
+    "update-empty": (lambda w: w.update(), AttributeError),
+    "dict-setitem": (lambda w: dict.__setitem__(w, "unit", 1), TypeError),
+    "dict-update": (lambda w: dict.update(w, unit=1), TypeError),
+    "dict-init": (lambda w: dict.__init__(w, unit=1), TypeError),
+    "setattr": (lambda w: setattr(w, "unit", 1), AttributeError),
+    "object-setattr": (lambda w: object.__setattr__(w, "unit", 1),
+                       AttributeError),
+    "object-setattr-new": (lambda w: object.__setattr__(w, "other", 1),
+                           AttributeError),
+    "set-class": (lambda w: setattr(w, "__class__", DeltaWitness),
+                  AttributeError),
+    "object-set-class": (
+        lambda w: object.__setattr__(w, "__class__", DeltaWitness),
+        AttributeError),
+    "init": (lambda w: w.__init__(unit=1), None),
+    "tuple-init": (lambda w: tuple.__init__(w, (1,)), None),
+    "tuple-new": (lambda w: tuple.__new__(type(w), (1,)), None),
+    "tuple-add": (lambda w: w + (1,), None),
+    "tuple-mul": (lambda w: w * 2, None),
+    "tuple-iadd": (_extend, None),
+    "tuple-count-index": (lambda w: (w.count(2), w.index(2)), None),
+}
+
+
+@pytest.mark.parametrize("edit, refused", _EDITS.values(), ids=list(_EDITS))
+def test_witness_refuses_every_edit(edit, refused):
     # The pairs of a residue class share one trail, so an edit through one
-    # record's witness would reach every pair of the class.
+    # record's witness would reach every pair of the class.  A witness is
+    # a tuple: each route is refused, or runs and leaves it as it was.
     (pair,) = run_enumeration([7], [1, 2]).pairs
     witness = pair.verdicts[2].witness
-    assert type(witness) is Witness and witness == {"unit": 2}
-    with pytest.raises(TypeError, match="^a verdict witness is read-only$"):
+    assert type(witness) is UnitWitness and witness == {"unit": 2}
+    if refused is None:
         edit(witness)
-    assert witness == {"unit": 2}
+    else:
+        with pytest.raises(refused):
+            edit(witness)
+    assert type(witness) is UnitWitness and witness == {"unit": 2}
+    assert tuple.__getitem__(witness, 0) == 2 and len(witness) == 1
     assert run_enumeration([7], [1, 2]).pairs == (pair,)
 
 
@@ -264,23 +311,45 @@ def _witnesses(records):
             if v.witness is not None]
 
 
+_SHAPES = {DeltaWitness, UnitWitness, UnitSquaresWitness, DedekindWitness,
+           EmptyWitness}
+
+
 def test_witness_prints_and_compares_as_the_dict_it_holds():
     records = run_enumeration(range(1, 9), range(-3, 12)).pairs
     one_shot = [linking_congruence(7, 1, 2), linking_congruence(7, 1, 3),
                 cosmetic_dedekind_obstruction(7, 1, 2), parity_filter(6, 2, 3)]
     witnesses = _witnesses(records) + [v.witness for v in one_shot]
-    assert {type(w) for w in witnesses} == {Witness}
+    assert {type(w) for w in witnesses} == _SHAPES
     assert {tuple(w) for w in witnesses} == {
         ("delta",), (), ("unit",), ("unit_squares",), ("s_q", "s_q_prime")}
     for w in witnesses:
         plain = dict(w)
+        assert isinstance(w, Witness) and not isinstance(w, dict)
         assert w == plain and plain == w and not w != plain
+        assert Witness(plain) == w and type(Witness(**plain)) is type(w)
         assert repr(w) == repr(plain) and str(w) == str(plain)
+        assert list(w.keys()) == list(plain) and len(w) == len(plain)
+        assert list(w.items()) == list(plain.items())
+        assert list(w.values()) == list(plain.values())
+        assert all(key in w and w.get(key) is w[key] for key in plain)
+        assert "other" not in w and w.get("other", 0) == 0
+        with pytest.raises(KeyError):
+            w["other"]
+        with pytest.raises(TypeError):
+            hash(w)  # unhashable, as the dict it equals
+        if plain:
+            assert w != tuple(plain.values())  # equal to a dict, not a tuple
+        # json writes a tuple subclass as a list; dict(w) gives the object.
+        assert type(json.loads(json.dumps(w))) is list
         for options in ({}, {"indent": 2}, {"sort_keys": True}):
-            assert json.dumps(w, **options) == json.dumps(plain, **options)
+            assert json.dumps(dict(w), **options) == json.dumps(plain,
+                                                                **options)
     assert repr(one_shot[0]) == ("ObstructionVerdict(filter_name="
                                  "'congruence', passed=True, witness="
                                  "{'unit': 2})")
+    with pytest.raises(KeyError):
+        Witness(unit=2, reason="no such shape")
 
 
 def test_records_pickle_and_copy_with_read_only_witnesses():
@@ -291,13 +360,35 @@ def test_records_pickle_and_copy_with_read_only_witnesses():
     for clone in clones:
         assert clone == result.pairs
         witnesses = _witnesses(clone)
-        assert witnesses and {type(w) for w in witnesses} == {Witness}
+        assert witnesses and {type(w) for w in witnesses} == _SHAPES
         with pytest.raises(TypeError):
-            witnesses[0].clear()
-    witness = Witness(unit=2)
-    shallow = copy.copy(witness)
-    assert shallow == witness and shallow is not witness
-    assert type(shallow) is Witness
+            dict.__setitem__(witnesses[0], "unit", 0)
+    shapes = [Witness(delta=3), Witness(unit=2),
+              Witness(unit_squares=(1, 2, 4)),
+              Witness(s_q="1/2", s_q_prime="-1/2"), Witness()]
+    assert {type(w) for w in shapes} == _SHAPES
+    for witness in shapes:
+        for twin in [copy.copy(witness), copy.deepcopy(witness)] + [
+                pickle.loads(pickle.dumps(witness, protocol))
+                for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]:
+            assert twin == witness and twin is not witness
+            assert type(twin) is type(witness)
+
+
+def test_witness_shapes_survive_a_collection_while_built():
+    # A namedtuple class sits in a reference cycle.  Collected while its
+    # getters are copied into a shape, it would empty its namespace first.
+    thresholds = gc.get_threshold()
+    gc.set_threshold(1, 1, 1)
+    try:
+        shapes = [obstructions._shape("DedekindWitness", ("s_q", "s_q_prime"))
+                  for _ in range(50)]
+    finally:
+        gc.set_threshold(*thresholds)
+    for shape in shapes:
+        witness = tuple.__new__(shape, ("1/2", "-1/2"))
+        assert witness.s_q == "1/2" and witness.s_q_prime == "-1/2"
+        assert witness == {"s_q": "1/2", "s_q_prime": "-1/2"}
 
 
 def test_reason_template_fills_in_as_reason_renders():
