@@ -80,7 +80,7 @@ def distance_cap(geometry):
     return CASES[geometry][0]
 
 
-_new = tuple.__new__  # skips __new__ where a builder's values need no check
+_new = tuple.__new__  # skips the checks of __new__ for the filters' own values
 
 
 class Witness(Mapping, tuple):
